@@ -17,10 +17,11 @@ import numpy as np
 
 from .torus import (
     TorusGeometry,
+    _block_exponents,
+    _bracket,
     _freq_sq,
     besov_norm,
     dyadic_blocks,
-    free_evolve,
     l2_norm,
     lp_norm,
     product_field,
@@ -39,7 +40,6 @@ __all__ = [
     "bench_strichartz",
     "bench_bernstein",
     "bench_trilinear",
-    "bench_trilinear_tscaling",
     "bench_cubic_product",
     "bench_sobolev_product",
     "bench_sobolev_embedding",
@@ -142,6 +142,41 @@ def _trial_fields(geom, N, trials, rng, extremizers=("ones", "single", "bell")):
 
 
 # ---------------------------------------------------------------------------
+# space-time sampling of free evolutions
+
+class _PaddedInverseFFT:
+    """Inverse FFT of a stack of fields from grid M onto the padded grid P.
+
+    Callers write each field's modes into `head` (shape (depth,) + M),
+    shifted to indices 0..M-1 as by fftshift.  The field then comes out
+    multiplied by the unimodular phase e^{i xi(M/2) . x}, and the zero
+    padding sits at the end of each axis: the transform runs one axis at a
+    time, and each axis skips the rows that are still all zero.  Like
+    np.fft.ifftn, it divides by the padded grid size.
+    """
+
+    def __init__(self, M, P, depth, dtype):
+        d = len(M)
+        # bufs[a - 1] is the input of the transform along axis a: P wide
+        # along axes 1..a, M wide along the later ones.  Only its head, the
+        # first M entries along axis a, is ever written; the zero tail is
+        # the padding.
+        self._bufs = [np.zeros((depth,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
+        self._heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)]
+                       for a, b in enumerate(self._bufs, 1)]
+        self.head = self._heads[0]
+        self.samples = np.empty((depth,) + P, dtype=dtype)
+
+    def __call__(self, n):
+        """Transform the first n fields of `head`; returns their samples."""
+        d = len(self._bufs)
+        for a in range(1, d + 1):
+            dst = self._heads[a][:n] if a < d else self.samples[:n]
+            np.fft.ifft(self._bufs[a - 1][:n], axis=a, out=dst)
+        return self.samples[:n]
+
+
+# ---------------------------------------------------------------------------
 # Strichartz
 
 def _spacetime_lp_mean(f, p, nt, pad=2, chunk=32):
@@ -159,11 +194,9 @@ def _spacetime_lp_mean(f, p, nt, pad=2, chunk=32):
     Otherwise time samples go in chunks.  The phases of the first chunk are
     tabulated once, by repeated multiplication with exp(-i dt lambda); later
     chunks reuse that table after advancing the coefficients by
-    exp(-i chunk dt lambda).  The modes are stored shifted to indices
-    0..M-1, which multiplies the samples by a unimodular phase and leaves
-    |u| unchanged, so the zero padding sits at the end of each axis.  The
-    inverse FFT then runs one axis at a time, and each axis skips the rows
-    that are still all zero.
+    exp(-i chunk dt lambda).  Each chunk goes through _PaddedInverseFFT,
+    whose shifted storage multiplies the samples by a unimodular phase and
+    leaves |u| unchanged.
     """
     geom = f.geometry
     target = geom.padded(pad)
@@ -177,7 +210,7 @@ def _spacetime_lp_mean(f, p, nt, pad=2, chunk=32):
     # subnormals (slow, and inexact)
     coeffs = coeffs * target.npoints
     w = target.volume / target.npoints
-    d, M, P = geom.d, geom.grid, target.grid
+    M, P = geom.grid, target.grid
     c = min(chunk, nt)
     step = np.exp(-1j / nt * lam)
     table = np.empty((c,) + M, dtype=np.complex128)
@@ -185,26 +218,19 @@ def _spacetime_lp_mean(f, p, nt, pad=2, chunk=32):
     for j in range(1, c):
         np.multiply(table[j - 1], step, out=table[j])
     advance = np.exp(-1j * (c / nt) * lam)
-    # bufs[a - 1] is the input of the transform along axis a: P wide along
-    # axes 1..a, M wide along the later ones.  Only its head, the first M
-    # entries along axis a, is ever written; the zero tail is the padding.
-    bufs = [np.zeros((c,) + P[:a] + M[a:], dtype=np.complex64) for a in range(1, d + 1)]
-    heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
-    samples = np.empty((c,) + P, dtype=np.complex64)
-    mag2 = np.empty(samples.shape, dtype=np.float32)
+    fft = _PaddedInverseFFT(M, P, c, np.complex64)
+    mag2 = np.empty(fft.samples.shape, dtype=np.float32)
     powd = np.empty_like(mag2)
     half = p / 2.0
     acc = 0.0
     for lo in range(0, nt, c):
         n = min(c, nt - lo)
-        np.multiply(table[:n], coeffs, out=heads[0][:n])
-        for a in range(1, d + 1):
-            dst = heads[a][:n] if a < d else samples[:n]
-            np.fft.ifft(bufs[a - 1][:n], axis=a, out=dst)
+        np.multiply(table[:n], coeffs, out=fft.head[:n])
+        samples = fft(n)
         coeffs *= advance
         m2, pw = mag2[:n], powd[:n]
-        np.square(samples[:n].real, out=m2)
-        np.square(samples[:n].imag, out=pw)
+        np.square(samples.real, out=m2)
+        np.square(samples.imag, out=pw)
         m2 += pw
         if half == int(half):
             np.copyto(pw, m2)
@@ -304,15 +330,59 @@ def bench_bernstein(p, q, N_list, trials, seed, d=2):
 # ---------------------------------------------------------------------------
 # trilinear admissibility (free evolutions)
 
-def _trilinear_ratio(geom, phis, eta, zeta, T, nt):
-    """LHS/RHS of the trilinear free-evolution estimate at window [-T, T]."""
-    ts = np.linspace(-T, T, nt)
-    vals = np.empty(nt)
+def _trilinear_samples(phis, eta, ts):
+    """||u1 u2 u3||_{B^{-eta}} at each time in ts, u_j = e^{it Lap} phi_j.
+
+    Each product is evaluated on the pad-3 grid, which is exact: the
+    factors have modes in [-M/2, M/2), so the product has modes in
+    [-3M/2, 3M/2) and nothing aliases on 3M points.
+
+    Each distinct factor is transformed once per time, so three identical
+    factors (the same object, as the `ones` row passes them) cost one
+    inverse FFT and the product is its cube.  The factors go through
+    _PaddedInverseFFT, which multiplies each by e^{i xi(M/2) . x}; the
+    product then carries e^{i xi(3M/2) . x}, which on the 3M grid turns
+    its forward FFT into the fftshifted coefficients.  The block sums of
+    the Besov norm come from one bincount over the shifted block labels of
+    the padded geometry.
+    """
+    geom = phis[0].geometry
+    target = geom.padded(3)
+    distinct = list({id(f): f for f in phis}.values())
+    slots = [[g is f for g in distinct].index(True) for f in phis]
+    lam = np.fft.fftshift(_freq_sq(geom))
+    # scaled so that the inverse FFT returns the samples themselves
+    coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in distinct]) * target.npoints
+    fft = _PaddedInverseFFT(geom.grid, target.grid, len(distinct), np.complex128)
+    labels = np.fft.fftshift(_block_exponents(target)).ravel() + 1  # zero mode -> 0
+    nblocks = int(labels.max()) + 1
+    Ns = np.array([0.0] + [2.0 ** j for j in range(nblocks - 1)])
+    # block norm = sqrt(volume * sum |c|^2), c = fftn(product) / npoints
+    weight = _bracket(Ns) ** -eta * (math.sqrt(target.volume) / target.npoints)
+    prod = np.empty(target.grid, dtype=np.complex128)
+    vals = np.empty(len(ts))
     for i, t in enumerate(ts):
-        us = [free_evolve(f, t) for f in phis]
-        prod = product_field(*us, pad=4)
-        vals[i] = besov_norm(prod, -eta)
-    lhs = float(np.trapezoid(vals, ts))
+        np.multiply(coeffs, np.exp(-1j * t * lam), out=fft.head)
+        u = fft(len(distinct))
+        np.multiply(u[slots[0]], u[slots[1]], out=prod)
+        for j in slots[2:]:
+            prod *= u[j]
+        c = np.fft.fftn(prod).ravel()
+        power = np.bincount(labels, weights=c.real ** 2 + c.imag ** 2, minlength=nblocks)
+        vals[i] = float(weight @ np.sqrt(power))
+    return vals
+
+
+def _trilinear_ratio(phis, eta, zeta, T, nt):
+    """LHS/RHS of the trilinear free-evolution estimate at window [-T, T].
+
+    The LHS is the trapezoid rule over nt times of _trilinear_samples:
+    products evaluated exactly on the pad-3 grid, with one inverse FFT per
+    time for factors that are one object (the `ones` row).  The RHS is
+    ||phi1||_{B^{-eta}} ||phi2||_{B^zeta} ||phi3||_{B^zeta}.
+    """
+    ts = np.linspace(-T, T, nt)
+    lhs = float(np.trapezoid(_trilinear_samples(phis, eta, ts), ts))
     rhs = besov_norm(phis[0], -eta) * besov_norm(phis[1], zeta) * besov_norm(phis[2], zeta)
     return lhs / rhs
 
@@ -323,6 +393,10 @@ def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
     The all-ones extremizer concentrates at t = 0 on a time scale ~1/N^2, so
     its row refines the quadrature grid with N; the base nt is used for the
     randomized rows, whose integrand has no comparable peak.
+
+    Every product is evaluated exactly, on the pad-3 grid.  The `ones` field
+    is built once per distinct block, so equal blocks share one object,
+    which is transformed once per time sample, not three times.
     """
     pars = admissible_parameters(d)
     if not 0 <= eta <= float(pars.zeta0):
@@ -339,10 +413,11 @@ def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
         best = 0.0
         for trial in range(trials):
             phis = [random_shell_field(geom, N, rng) for N in Ns]
-            best = max(best, _trilinear_ratio(geom, phis, eta, zeta, T, nt))
-        phis = [shell_extremizer_field(geom, N, "ones") for N in Ns]
+            best = max(best, _trilinear_ratio(phis, eta, zeta, T, nt))
+        ones = {N: shell_extremizer_field(geom, N, "ones") for N in set(Ns)}
+        phis = [ones[N] for N in Ns]
         nt_ex = max(nt, min(2048, 2 * max(Ns) ** 2) + 1)
-        best = max(best, _trilinear_ratio(geom, phis, eta, zeta, T, nt_ex))
+        best = max(best, _trilinear_ratio(phis, eta, zeta, T, nt_ex))
         rows.append((Ns[0], Ns[1], Ns[2], best))
     eqrows = [(max(r[:3]), r[3]) for r in rows]
     slope, intercept, resid = (math.nan, math.nan, math.nan)
@@ -352,35 +427,6 @@ def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
         "trilinear",
         {"d": d, "eta": eta, "zeta": zeta, "T": T},
         ["N1", "N2", "N3", "max_ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
-
-
-def bench_trilinear_tscaling(d, eta, zeta, N, T_list, trials, seed, nt=17):
-    """T-sweep at fixed N; the bound carries T^epsilon, so the fitted slope
-    should be at least epsilon(d) (up to slack) as T -> 0."""
-    rng = np.random.default_rng(seed)
-    geom = _square_torus(d, _grid_for_block(N))
-    rows = []
-    for T in T_list:
-        best = 0.0
-        for trial in range(trials):
-            phis = [random_shell_field(geom, N, rng) for _ in range(3)]
-            best = max(best, _trilinear_ratio(geom, phis, eta, zeta, T, nt))
-        rows.append((T, best))
-    slope, intercept, resid = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
-    pars = admissible_parameters(d)
-    rep = ExperimentReport(
-        "trilinear-tscaling",
-        {"d": d, "eta": eta, "zeta": zeta, "N": N,
-         "target_slope_at_least": float(pars.epsilon)},
-        ["T", "max_ratio"],
         rows,
         seed,
         trials,

@@ -56,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_env():
-    threads = os.environ.get("NLSLAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-
-
 def _out_path(path):
     if path is None:
         return None
@@ -266,7 +259,6 @@ def _random_initial(d, grid, block, seed):
 
 
 def dispatch(argv):
-    _apply_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     g, cmd = args.group, getattr(args, "cmd", None)

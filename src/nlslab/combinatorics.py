@@ -138,12 +138,10 @@ def evaluate_duhamel_iterate(f, sigma, t, times, budget=DEFAULT_RANK_BUDGET):
         U^{(k)}(t - t_1) B_{sigma(k+1),k+1} U^{(k+1)}(t_1 - t_2) ...
             B_{sigma(k+r),k+r} |f><f|^{tensor (k+r)}
 
-    times is (t_1, ..., t_r); r = 0 (empty times, sigma None) degenerates to
-    U^{(k)}(t) |f><f|^{tensor k}.
+    times is (t_1, ..., t_r).  sigma None (r = 0) is rejected: that iterate
+    is U^{(k)}(t) |f><f|^{tensor k}, which tensor_power gives directly.
     """
     if sigma is None:
-        if times:
-            raise ValueError("r = 0 call must have empty times")
         raise ValueError("r = 0 call needs an explicit order; use tensor_power")
     k, r = sigma.k, sigma.r
     if len(times) != r:

@@ -35,7 +35,6 @@ __all__ = [
     "fl_norm",
     "xsb_norm",
     "time_cutoff",
-    "space_time_from_callable",
     "free_wave",
     "duhamel_wave",
     "gauge_transform",
@@ -141,12 +140,6 @@ def xsb_norm(u, s, b, r):
 def time_cutoff(t):
     """Smooth even cutoff: 1 on [-1, 1], supported in (-1.9, 1.9)."""
     return mollifier_ramp((1.9 - np.abs(t)) / 0.9)
-
-
-def space_time_from_callable(geom, window, ntimes, fn):
-    """Assemble a SpaceTimeField from fn(t) -> spatial coefficient array."""
-    times = -window + (2.0 * window / ntimes) * np.arange(ntimes)
-    return SpaceTimeField(geom, window, np.stack([fn(t) for t in times]))
 
 
 def free_wave(phi0, T, window=DEFAULT_WINDOW, ntimes=DEFAULT_TIME_POINTS):

@@ -154,6 +154,12 @@ def write_trajectory(traj, path):
         raise OSError("cannot write trajectory to %s: %s" % (path, exc)) from exc
 
 
+def _check_length(path, data, size, exact=False):
+    if len(data) < size or (exact and len(data) != size):
+        raise ValueError("trajectory file %s: its header implies %s%d bytes, found %d"
+                         % (path, "" if exact else "at least ", size, len(data)))
+
+
 def read_trajectory(path):
     try:
         with open(path, "rb") as fh:
@@ -162,22 +168,19 @@ def read_trajectory(path):
         raise OSError("cannot read trajectory from %s: %s" % (path, exc)) from exc
     if data[:8] != TRAJECTORY_MAGIC:
         raise ValueError("bad magic in %s" % path)
-    off = 8
-    version, d = struct.unpack_from("<II", data, off)
-    off += 8
+    _check_length(path, data, 16)
+    version, d = struct.unpack_from("<II", data, 8)
     if version != 1:
         raise ValueError("unsupported trajectory format version %d" % version)
-    thetas = np.frombuffer(data, dtype="<f8", count=d, offset=off)
-    off += 8 * d
-    grid = np.frombuffer(data, dtype="<u4", count=d, offset=off)
-    off += 4 * d
-    (coupling,) = struct.unpack_from("<d", data, off)
-    off += 8
-    (nt,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    off = 16 + 12 * d + 16
+    _check_length(path, data, off)
+    thetas = struct.unpack_from("<%dd" % d, data, 16)
+    grid = struct.unpack_from("<%dI" % d, data, 16 + 8 * d)
+    coupling, nt = struct.unpack_from("<dQ", data, 16 + 12 * d)
+    _check_length(path, data, off + 8 * nt * (1 + math.prod(grid)), exact=True)
     times = np.frombuffer(data, dtype="<f8", count=nt, offset=off).copy()
     off += 8 * nt
-    geom = TorusGeometry(d, tuple(float(t) for t in thetas), tuple(int(g) for g in grid))
+    geom = TorusGeometry(d, thetas, grid)
     block = geom.npoints
     states = []
     for _ in range(nt):

@@ -427,8 +427,10 @@ def product_field(*factors, conj=None, pad=2):
     """Pointwise product of fields, computed alias-free on a padded grid.
 
     conj is an optional tuple of booleans marking factors to conjugate.
-    The result lives on the padded geometry; pad = 2 is exact on the base
-    band for up to three factors, pad = 4 is exact on the whole padded band.
+    The result lives on the padded geometry.  With k factors on base grid M
+    the product has modes in [-kM/2, kM/2), so pad = k is exact on its
+    whole band (pad = 3 for three factors); pad = 2 is exact on the base
+    band for up to three factors.
     """
     if not factors:
         raise ValueError("need at least one factor")

@@ -17,14 +17,19 @@ from nlslab.bench import (
     fit_exponent,
     fit_loglog,
     _spacetime_lp_mean,
+    _trilinear_ratio,
+    _trilinear_samples,
 )
 from nlslab import bench as bench_module
 from nlslab.torus import (
     TorusGeometry,
+    besov_norm,
     free_evolve,
     lp_norm,
     mode_field,
+    product_field,
     random_shell_field,
+    shell_extremizer_field,
 )
 
 
@@ -137,6 +142,53 @@ def test_bench_bernstein_small_run():
         bench_bernstein(4.0, 2.0, (2, 4, 8), 1, 0)
 
 
+def _direct_trilinear_samples(phis, eta, ts):
+    return np.array([besov_norm(product_field(*[free_evolve(f, t) for f in phis], pad=4), -eta)
+                     for t in ts])
+
+
+def test_trilinear_samples_match_pad4_products():
+    rng = np.random.default_rng(5)
+    skew = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
+    cube = TorusGeometry(3, (1.0, 1.0, 1.0), (8, 8, 8))
+    cases = [
+        ([random_shell_field(skew, N, rng) for N in (4, 2, 8)], np.linspace(-0.7, 0.7, 5)),
+        ([random_shell_field(skew, 2, rng) for _ in range(3)], np.array([0.3])),  # nt = 1
+        ([random_shell_field(cube, N, rng) for N in (2, 4, 2)], np.array([-0.4, 0.0, 0.9])),
+    ]
+    for phis, ts in cases:
+        got = _trilinear_samples(phis, 0.25, ts)
+        want = _direct_trilinear_samples(phis, 0.25, ts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_trilinear_identical_factors_take_one_transform(monkeypatch):
+    geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
+    ones = shell_extremizer_field(geom, 2, "ones")
+    ts = np.linspace(-0.5, 0.5, 3)
+    calls = []
+    real_ifft = np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    shared = _trilinear_samples([ones] * 3, 0.25, ts)
+    # one field per transform; the first axis skips the all-zero columns
+    assert calls == [(1, 48, 12), (1, 48, 36)] * len(ts)
+    calls.clear()
+    copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, ts)
+    assert calls == [(3, 48, 12), (3, 48, 36)] * len(ts)
+    monkeypatch.undo()
+    want = _direct_trilinear_samples([ones] * 3, 0.25, ts)
+    assert np.all(np.abs(shared - copies) <= 1e-12 * shared)
+    assert np.all(np.abs(shared - want) <= 1e-12 * want)
+    # a single time sample has no trapezoid width
+    assert _trilinear_ratio([ones] * 3, 0.25, 0.3, 1.0, 1) == 0.0
+
+
 def test_bench_trilinear_validation():
     with pytest.raises(ValueError):
         bench_trilinear(2, 0.5, 0.3, [(2, 2, 2)], 1, 0)  # eta > zeta0
@@ -146,11 +198,23 @@ def test_bench_trilinear_validation():
         bench_trilinear(4, 0.25, 1.1, [(2, 2, 2)], 1, 0)  # d must be 2 or 3
 
 
-def test_bench_trilinear_small_run():
+def test_bench_trilinear_small_run(monkeypatch):
+    factors = []
+    real_ratio = bench_module._trilinear_ratio
+
+    def spy(phis, *args):
+        factors.append(phis)
+        return real_ratio(phis, *args)
+
+    monkeypatch.setattr(bench_module, "_trilinear_ratio", spy)
     rep = bench_trilinear(2, 0.25, 0.3, [(2, 2, 2), (4, 4, 4)], trials=1, seed=0, nt=5)
     assert len(rep.rows) == 2
     assert all(r[3] > 0 for r in rep.rows)
     assert math.isnan(rep.slope)  # only two levels, no fit
+    # per triple: one random call, then the `ones` row built once per block
+    for rand, ones in (factors[0:2], factors[2:4]):
+        assert len({id(f) for f in rand}) == 3
+        assert len({id(f) for f in ones}) == 1
 
 
 def test_bench_cubic_product_small_run():

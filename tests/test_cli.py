@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,24 @@ def test_trajectory_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_trajectory_wrong_length(tmp_path):
+    geom = TorusGeometry(2, (1.0, 1.0), (32, 32))
+    traj = solve_nls(random_shell_field(geom, 2, 0), 0.02, 0.01)
+    path = tmp_path / "t.bin"
+    write_trajectory(traj, path)
+    data = path.read_bytes()
+    size = len(data)
+    assert size == 16 + 12 * 2 + 16 + 8 * 3 * (1 + 32 * 32)
+    for cut in (data[:-100], data + b"\x00" * 8):
+        path.write_bytes(cut)
+        msg = "%s: its header implies %d bytes, found %d" % (path, size, len(cut))
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            read_trajectory(path)
+    path.write_bytes(data[:30])
+    with pytest.raises(ValueError, match="implies at least 56 bytes, found 30"):
+        read_trajectory(path)
+
+
 def test_trajectory_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTATRAJ" + b"\x00" * 32)
@@ -166,3 +187,30 @@ def test_cli_rerun_detects_mismatch(tmp_path, monkeypatch, capsys):
 def test_cli_rerun_missing_manifest(capsys):
     assert main(["rerun", "/nonexistent/manifest.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# the effective OpenBLAS thread count, read through numpy's bundled library
+_BLAS_THREADS = """
+import ctypes, glob, os
+import numpy as np
+import nlslab.cli
+libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libdir, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            fn = getattr(lib, symbol)
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            print(fn())
+            raise SystemExit
+print("none")
+"""
+
+
+def test_openblas_num_threads_sets_blas_threads():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    if out.strip() == "none":
+        pytest.skip("no OpenBLAS thread-count symbol next to numpy")
+    assert out.strip() == "1"
