@@ -65,6 +65,11 @@ def _out_path(path):
     return path
 
 
+def _manifest_path(out):
+    """<out minus a .csv suffix>.manifest.json, next to the report."""
+    return (out[:-4] if out.endswith(".csv") else out) + ".manifest.json"
+
+
 def _emit(rep, args, argv, fit):
     out = _out_path(args.out)
     if out is None:
@@ -74,8 +79,7 @@ def _emit(rep, args, argv, fit):
         return
     rep.footer.setdefault("fit", fit)
     _report.write_report(rep, out)
-    _report.write_manifest(out + ".manifest.json" if not out.endswith(".csv")
-                           else out[:-4] + ".manifest.json", argv, out)
+    _report.write_manifest(_manifest_path(out), argv, out)
     print("wrote %s" % out)
 
 
@@ -405,9 +409,7 @@ def dispatch(argv):
             if out:
                 with open(out, "w", newline="\n") as fh:
                     fh.write("\n".join(lines) + "\n")
-                _report.write_manifest(
-                    (out[:-4] if out.endswith(".csv") else out) + ".manifest.json",
-                    ["params", "table"] + argv[2:], out)
+                _report.write_manifest(_manifest_path(out), ["params", "table"] + argv[2:], out)
                 print("wrote %s" % out)
             else:
                 print("\n".join(lines))
@@ -436,9 +438,8 @@ def dispatch(argv):
         with open(fresh, "rb") as fh:
             after = fh.read()
         os.remove(fresh)
-        for leftover in (fresh + ".manifest.json",):
-            if os.path.exists(leftover):
-                os.remove(leftover)
+        if os.path.exists(_manifest_path(fresh)):
+            os.remove(_manifest_path(fresh))
         if before == after:
             print("byte-identical: %s" % stored)
             return 0

@@ -26,6 +26,8 @@ from .hierarchy import (
     tensor_power,
     trace_norm,
     _check_budget,
+    _interaction_defect,
+    _pulled_back_collisions,
 )
 from .solver import simpson_weights
 
@@ -170,39 +172,25 @@ def expansion_consistency(traj, k, r, zeta=None, budget=100000):
     M = len(traj.times) - 1
     if M < 2:
         raise ValueError("need at least 3 time points")
-    t = float(traj.times[M])
     if r == 1:
         defect = hierarchy_defect_matrix(traj, k, M, budget=budget)
         return trace_norm(apply_sobolev_op(defect, -zeta))
-    h = traj.dt
-    terms = []
-    terms += tensor_power(traj.states[M], k).terms
-    g0 = hierarchy_free_evolve(tensor_power(traj.states[0], k), t)
-    terms += [(-c, ke, br) for c, ke, br in g0.terms]
-    w1 = simpson_weights(M, h)
-    mu = traj.coupling
+    # In the interaction picture (the defect conjugated by U^{(k)}(-t), which
+    # keeps its weighted trace norm) the substituted equation is the mild
+    # defect with integrand U(-t1) B_{k+1} U(t1) g(t1) at each outer node t1,
+    #   g(t1) = gamma0^{(k+1)} - i mu sum_j w'_j I_j,
+    # with I_j = U(-t2) B_{k+2} gamma^{(k+2)}(t2) the order-(k+1) mild
+    # integrand at t2 = t_j, built once per stored time.
+    inner = _pulled_back_collisions(traj, k + 1, M, budget)
+    outer = []
     for i in range(M + 1):
+        g = tensor_power(traj.states[0], k + 1).terms
+        # the inner integral over [0, t1] is empty at i = 0
+        for wj, coll in zip(simpson_weights(i, traj.dt), inner if i else []):
+            g += [(-1j * traj.coupling * wj * c, ke, br) for c, ke, br in coll.terms]
         t1 = float(traj.times[i])
-        # first-order term: U(t - t1) B_{k+1} U(t1) gamma0^{(k+1)}
-        g1 = hierarchy_free_evolve(tensor_power(traj.states[0], k + 1), t1)
-        g1 = collision_full(g1, budget=budget)
-        g1 = hierarchy_free_evolve(g1, t - t1)
-        terms += [(1j * mu * w1[i] * c, ke, br) for c, ke, br in g1.terms]
-        # second-order term: inner integral over [0, t1]
-        if i == 0:
-            continue
-        w2 = simpson_weights(i, h)
-        for j in range(i + 1):
-            t2 = float(traj.times[j])
-            g2 = collision_full(tensor_power(traj.states[j], k + 2), budget=budget)
-            g2 = hierarchy_free_evolve(g2, t1 - t2)
-            g2 = collision_full(g2, budget=budget)
-            g2 = hierarchy_free_evolve(g2, t - t1)
-            # defect = gamma - [U gamma0 - i mu int U B gamma^{(k+1)}] and the
-            # substituted inner integral carries its own -i mu, so the double
-            # term enters the defect with +mu^2
-            scale = mu ** 2 * w1[i] * w2[j]
-            terms += [(scale * c, ke, br) for c, ke, br in g2.terms]
-    _check_budget(len(terms), budget)
-    defect = FactorizedDensityMatrix(k, terms)
+        g = hierarchy_free_evolve(FactorizedDensityMatrix(k + 1, g), t1)
+        outer.append(hierarchy_free_evolve(collision_full(g, budget=budget), -t1))
+    defect = _interaction_defect(traj, k, M, outer)
+    _check_budget(defect.rank, budget)
     return trace_norm(apply_sobolev_op(defect, -zeta))

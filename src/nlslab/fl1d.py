@@ -16,17 +16,14 @@ import math
 import numpy as np
 
 from .bench import ExperimentReport, fit_loglog
-from .solver import Trajectory, mass, simpson_weights
+from .solver import Trajectory, mass, mild_defect_profile
 from .torus import (
     SpectralField,
     TorusGeometry,
     cubic_field,
-    field_samples,
-    l2_norm,
     lp_norm,
     mode_field,
     mollifier_ramp,
-    sobolev_norm,
     _freq_sq,
 )
 
@@ -203,40 +200,16 @@ def renormalized_nonlinearity(psi, coupling=1.0):
     return SpectralField(psi.geometry, coupling * (g.coeffs - m * psi.coeffs))
 
 
-def renormalized_duhamel_residual(traj, norm="l2"):
+def renormalized_duhamel_residual(traj):
     """Max over stored times of the L^2 defect of the gauged trajectory in
 
         psi(t) = e^{i t Lap} psi0 - i int_0^t e^{i (t-tau) Lap} N(psi(tau)) dtau
 
     with N the renormalized nonlinearity; converges at O(dt^2)."""
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 time points")
     gauged = gauge_transform(traj)
-    geom = traj.geometry
-    lam = _freq_sq(geom)
-    h = gauged.dt
-    M = len(gauged.times) - 1
-    W = np.empty((M + 1, geom.grid[0]), dtype=np.complex128)
-    for j, (t, st) in enumerate(zip(gauged.times, gauged.states)):
-        g = renormalized_nonlinearity(st, gauged.coupling)
-        W[j] = np.exp(1j * t * lam) * g.coeffs
-    c0 = gauged.states[0].coeffs
-    worst = 0.0
-    for m in range(M + 1):
-        t = gauged.times[m]
-        fwd = np.exp(-1j * t * lam)
-        if m == 0:
-            integral = np.zeros(geom.grid[0], dtype=np.complex128)
-        else:
-            w = simpson_weights(m, h)
-            integral = fwd * (w @ W[: m + 1])
-        defect = gauged.states[m].coeffs - fwd * c0 + 1j * integral
-        if norm == "l2":
-            val = l2_norm(SpectralField(geom, defect))
-        else:
-            val = sobolev_norm(SpectralField(geom, defect), float(norm))
-        worst = max(worst, val)
-    return worst
+    profile = mild_defect_profile(
+        gauged, lambda psi: renormalized_nonlinearity(psi, gauged.coupling), 0.0)
+    return float(profile.max())
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from .torus import (
     SpectralField,
     conjugate,
     free_evolve,
-    inner_product,
     pointwise_product,
     _freq_sq,
 )
-from .solver import Trajectory, simpson_weights
+from .solver import simpson_weights
 
 __all__ = [
     "FactorizedDensityMatrix",
@@ -129,12 +128,19 @@ def collision_full(gamma, budget=DEFAULT_RANK_BUDGET):
 
 
 def _map_factors(gamma, fn):
+    """fn on every factor, once per distinct factor object: tensor powers
+    and collisions share factors between slots and terms, and the result
+    shares them the same way."""
+    done = {}
+
+    def once(f):
+        if id(f) not in done:
+            done[id(f)] = fn(f)
+        return done[id(f)]
+
     return FactorizedDensityMatrix(
         gamma.order,
-        [
-            (c, tuple(fn(f) for f in kets), tuple(fn(g) for g in bras))
-            for c, kets, bras in gamma.terms
-        ],
+        [(c, tuple(map(once, kets)), tuple(map(once, bras))) for c, kets, bras in gamma.terms],
     )
 
 
@@ -183,11 +189,16 @@ def _gram_factor(G, floor=1e-14):
     return (U * np.sqrt(w)).conj().T
 
 
+def _factor_stacks(gamma, side):
+    """Per-slot (R, n) stacks of the ket (side=1) or bra (side=2) factors."""
+    return [np.stack([t[side][slot].coeffs.ravel() for t in gamma.terms])
+            for slot in range(gamma.order)]
+
+
 def _tensor_stack(gamma, side):
     """(R, n^k) matrix of the ket (side=1) or bra (side=2) tensor vectors."""
-    out = np.stack([t[side][0].coeffs.ravel() for t in gamma.terms])
-    for slot in range(1, gamma.order):
-        V = np.stack([t[side][slot].coeffs.ravel() for t in gamma.terms])
+    out, *rest = _factor_stacks(gamma, side)
+    for V in rest:
         out = np.einsum("ri,rj->rij", out, V).reshape(gamma.rank, -1)
     return out
 
@@ -222,16 +233,8 @@ def trace_norm(gamma, floor=1e-14, stable_budget=STABLE_TRACE_BUDGET):
         # drop out of singular values.
         small = L @ np.diag(c) @ M.conj().T
         return float(np.linalg.svd(small, compute_uv=False).sum())
-    kets = [
-        np.stack([t[1][slot].coeffs.ravel() for t in gamma.terms])
-        for slot in range(gamma.order)
-    ]
-    bras = [
-        np.stack([t[2][slot].coeffs.ravel() for t in gamma.terms])
-        for slot in range(gamma.order)
-    ]
-    L = _gram_factor(_gram(kets, vol), floor)
-    M = _gram_factor(_gram(bras, vol), floor)
+    L = _gram_factor(_gram(_factor_stacks(gamma, 1), vol), floor)
+    M = _gram_factor(_gram(_factor_stacks(gamma, 2), vol), floor)
     small = L @ np.diag(c) @ M.conj().T
     return float(np.linalg.svd(small, compute_uv=False).sum())
 
@@ -278,17 +281,9 @@ def is_hermitian(gamma, tol=1e-12):
     )
     # Hilbert-Schmidt norm of the difference via the same Gram machinery
     vol = gamma.geometry.volume
-    kets = [
-        np.stack([t[1][slot].coeffs.ravel() for t in diff.terms])
-        for slot in range(diff.order)
-    ]
-    bras = [
-        np.stack([t[2][slot].coeffs.ravel() for t in diff.terms])
-        for slot in range(diff.order)
-    ]
     c = np.array([t[0] for t in diff.terms], dtype=np.complex128)
-    A = _gram(kets, vol)
-    B = _gram(bras, vol)
+    A = _gram(_factor_stacks(diff, 1), vol)
+    B = _gram(_factor_stacks(diff, 2), vol)
     hs2 = float(np.real(np.einsum("i,j,ij,ji->", np.conj(c), c, A, B)))
     scale = float(np.real(np.einsum("i,j,ij,ji->", np.conj(c[: gamma.rank]),
                                     c[: gamma.rank], A[: gamma.rank, : gamma.rank],
@@ -305,49 +300,66 @@ def default_zeta(d):
     return float(admissible_parameters(d).zeta0)
 
 
-def hierarchy_defect_matrix(traj, k, m, budget=DEFAULT_RANK_BUDGET):
-    """Mild-hierarchy defect at stored time index m, as a term list:
+def _pulled_back_collisions(traj, k, m, budget):
+    """The mild-hierarchy integrand in the interaction picture,
+    U^{(k)}(-s_j) B_{k+1} gamma^{(k+1)}(s_j) for stored times j = 0..m: one
+    collision_full per stored time, shared by every defect that needs it.
+    The budget is checked first against the 2 + (m+1) 2k terms of the defect
+    at t_m."""
+    _check_budget(2 + (m + 1) * 2 * k, budget)
+    return [
+        hierarchy_free_evolve(
+            collision_full(tensor_power(traj.states[j], k + 1), budget=budget),
+            -float(traj.times[j]))
+        for j in range(m + 1)
+    ]
 
-        gamma^{(k)}(t_m) - U^{(k)}(t_m) gamma0^{(k)}
-            + i mu * Simpson_j w_j U^{(k)}(t_m - s_j) B_{k+1} gamma^{(k+1)}(s_j)
-    """
-    t = float(traj.times[m])
-    terms = []
-    terms += tensor_power(traj.states[m], k).terms
-    g0 = hierarchy_free_evolve(tensor_power(traj.states[0], k), t)
-    terms += [(-c, ke, br) for c, ke, br in g0.terms]
-    if m > 0:
-        w = simpson_weights(m, traj.dt)
-        for j in range(m + 1):
-            coll = collision_full(tensor_power(traj.states[j], k + 1), budget=budget)
-            ev = hierarchy_free_evolve(coll, t - float(traj.times[j]))
-            scale = 1j * traj.coupling * w[j]
-            terms += [(scale * c, ke, br) for c, ke, br in ev.terms]
-    _check_budget(len(terms), budget)
+
+def _interaction_defect(traj, k, m, integrand):
+    """U^{(k)}(-t_m) gamma^{(k)}(t_m) - gamma0^{(k)}
+    + i mu * Simpson_j w_j integrand[j], over stored times j = 0..m."""
+    pulled = free_evolve(traj.states[m], -float(traj.times[m]))
+    terms = tensor_power(pulled, k).terms
+    terms += [(-c, ke, br) for c, ke, br in tensor_power(traj.states[0], k).terms]
+    for wj, coll in zip(simpson_weights(m, traj.dt), integrand):
+        scale = 1j * traj.coupling * wj
+        terms += [(scale * c, ke, br) for c, ke, br in coll.terms]
     return FactorizedDensityMatrix(k, terms)
 
 
-def hierarchy_duhamel_residual(
-    traj, k, zeta=None, checkpoints=4, budget=DEFAULT_RANK_BUDGET, convention="eigenvalue"
-):
-    """Max over checkpoint times of the trace norm of the mild-hierarchy
-    defect under the S^{(k,-zeta)} weighting.
+def hierarchy_defect_matrix(traj, k, m, budget=DEFAULT_RANK_BUDGET):
+    """Mild-hierarchy defect at stored time index m in the interaction
+    picture, as a term list:
 
-    The defect is evaluated on an evenly spaced subset of the stored grid
-    (checkpoints times, always including the final time); the integral itself
-    always uses the full stored grid.
+        U^{(k)}(-t_m) gamma^{(k)}(t_m) - gamma0^{(k)}
+            + i mu * Simpson_j w_j U^{(k)}(-s_j) B_{k+1} gamma^{(k+1)}(s_j)
+
+    This is U^{(k)}(-t_m) applied to the lab-frame defect gamma^{(k)}(t_m) -
+    U^{(k)}(t_m) gamma0^{(k)} + i mu int U^{(k)}(t_m - s) B_{k+1} gamma^{(k+1)}(s);
+    the conjugation is unitary and commutes with S^{(k,alpha)}, so trace
+    norms, weighted or not, are those of the lab-frame defect.
+    """
+    integrand = _pulled_back_collisions(traj, k, m, budget) if m else []
+    return _interaction_defect(traj, k, m, integrand)
+
+
+def hierarchy_duhamel_residual(traj, k, zeta=None, budget=DEFAULT_RANK_BUDGET):
+    """Max over four checkpoint times of the trace norm of the mild-hierarchy
+    defect (hierarchy_defect_matrix) under the S^{(k,-zeta)} weighting.
+
+    The defect is evaluated on four evenly spaced stored times, always
+    including the final one; the integral itself always uses the full stored
+    grid, whose integrand is built once and shared by every checkpoint.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     M = len(traj.times) - 1
     if M < 2:
         raise ValueError("need at least 3 time points")
+    integrand = _pulled_back_collisions(traj, k, M, budget)
     if zeta is None:
         zeta = default_zeta(traj.geometry.d)
-    idx = sorted({int(round(i * M / checkpoints)) for i in range(1, checkpoints + 1)})
-    best = 0.0
-    for m in idx:
-        defect = hierarchy_defect_matrix(traj, k, m, budget=budget)
-        weighted = apply_sobolev_op(defect, -zeta, convention=convention)
-        best = max(best, trace_norm(weighted))
-    return best
+    return max(
+        trace_norm(apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta))
+        for m in {int(round(i * M / 4)) for i in range(1, 5)}
+    )

@@ -133,8 +133,11 @@ def read_manifest(path):
 
 
 # ---------------------------------------------------------------------------
-# binary trajectory dump: fixed header, then one little-endian complex64
-# coefficient block per stored time
+# binary trajectory dump: fixed header, then one coefficient block per stored
+# time, little-endian complex128 in format version 2 (version 1 files, whose
+# blocks are complex64, stay readable)
+
+_PAYLOAD_DTYPES = {1: "<c8", 2: "<c16"}
 
 
 def write_trajectory(traj, path):
@@ -142,14 +145,14 @@ def write_trajectory(traj, path):
     try:
         with open(path, "wb") as fh:
             fh.write(TRAJECTORY_MAGIC)
-            fh.write(struct.pack("<II", 1, geom.d))
+            fh.write(struct.pack("<II", 2, geom.d))
             fh.write(np.asarray(geom.thetas, dtype="<f8").tobytes())
             fh.write(np.asarray(geom.grid, dtype="<u4").tobytes())
             fh.write(struct.pack("<d", traj.coupling))
             fh.write(struct.pack("<Q", len(traj.times)))
             fh.write(np.asarray(traj.times, dtype="<f8").tobytes())
             for st in traj.states:
-                fh.write(np.ascontiguousarray(st.coeffs, dtype="<c8").tobytes())
+                fh.write(np.ascontiguousarray(st.coeffs, dtype="<c16").tobytes())
     except OSError as exc:
         raise OSError("cannot write trajectory to %s: %s" % (path, exc)) from exc
 
@@ -170,21 +173,22 @@ def read_trajectory(path):
         raise ValueError("bad magic in %s" % path)
     _check_length(path, data, 16)
     version, d = struct.unpack_from("<II", data, 8)
-    if version != 1:
+    if version not in _PAYLOAD_DTYPES:
         raise ValueError("unsupported trajectory format version %d" % version)
+    dtype = np.dtype(_PAYLOAD_DTYPES[version])
     off = 16 + 12 * d + 16
     _check_length(path, data, off)
     thetas = struct.unpack_from("<%dd" % d, data, 16)
     grid = struct.unpack_from("<%dI" % d, data, 16 + 8 * d)
     coupling, nt = struct.unpack_from("<dQ", data, 16 + 12 * d)
-    _check_length(path, data, off + 8 * nt * (1 + math.prod(grid)), exact=True)
+    _check_length(path, data, off + nt * (8 + dtype.itemsize * math.prod(grid)), exact=True)
     times = np.frombuffer(data, dtype="<f8", count=nt, offset=off).copy()
     off += 8 * nt
     geom = TorusGeometry(d, thetas, grid)
     block = geom.npoints
     states = []
     for _ in range(nt):
-        c = np.frombuffer(data, dtype="<c8", count=block, offset=off)
-        off += 8 * block
+        c = np.frombuffer(data, dtype=dtype, count=block, offset=off)
+        off += dtype.itemsize * block
         states.append(SpectralField(geom, c.astype(np.complex128).reshape(geom.grid)))
     return Trajectory(geom, times, states, coupling)

@@ -7,13 +7,16 @@ The equation is i d_t phi + Lap phi = mu |phi|^2 phi with coupling mu = +1
     phi(t) = e^{i t Lap} phi0 - i mu * int_0^t e^{i (t-tau) Lap} |phi|^2 phi dtau
 
 and the residual of a stored trajectory in this equation, quadratured with
-composite Simpson, converges at the integrator order O(dt^2).
+composite Simpson, converges at the integrator order O(dt^2).  The defect is
+measured in the interaction picture, multiplied by e^{-i t Lap}: the free flow
+preserves every norm used here, and the integrand e^{-i tau Lap} N(phi(tau))
+no longer depends on t, so one streaming Simpson pass gives the defect at
+every stored time.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .torus import (
     free_evolve,
     l2_norm,
     lp_norm,
+    mode_field,
     sobolev_norm,
     _freq_sq,
 )
@@ -38,7 +42,9 @@ __all__ = [
     "mass",
     "duhamel_residual",
     "duhamel_defect_profile",
+    "mild_defect_profile",
     "spacetime_l3_norm",
+    "simpson_prefix",
     "simpson_weights",
 ]
 
@@ -105,8 +111,6 @@ def solve_nls(phi0, T, dt, coupling=1.0, guard_factor=1e6):
 def plane_wave_trajectory(geom, n, T, dt, coupling=1.0, amplitude=1.0):
     """Exact single-mode solution A e^{i xi(n).x - i (|xi|^2 + mu |A|^2) t},
     sampled analytically on the same uniform grid the solver would use."""
-    from .torus import mode_field, _freq_sq
-
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-10 * T:
         raise ValueError("dt must divide T")
@@ -120,32 +124,64 @@ def plane_wave_trajectory(geom, n, T, dt, coupling=1.0, amplitude=1.0):
     return Trajectory(geom, times, states, float(coupling))
 
 
+def simpson_prefix(samples, h):
+    """Yield int_0^{m h} for m = 0, 1, 2, ... over streamed samples f_0, f_1, ...
+    on a grid of spacing h: composite Simpson, with a Simpson-3/8 tail when
+    the interval count m is odd (trapezoid at m = 1).
+
+    Samples may be scalars or arrays.  Only the last four samples and the
+    last two even-m integrals are kept.
+    """
+    f, even = [], []
+    for m, fm in enumerate(samples):
+        f = (f + [fm])[-4:]
+        if m == 0:
+            s = 0.0 * fm
+        elif m == 1:
+            s = h / 2.0 * (f[0] + f[1])
+        elif m % 2 == 0:
+            s = even[-1] + h / 3.0 * (f[-3] + 4.0 * f[-2] + f[-1])
+        else:
+            s = even[-2] + 3.0 * h / 8.0 * (f[-4] + 3.0 * (f[-3] + f[-2]) + f[-1])
+        if m % 2 == 0:
+            even = (even + [s])[-2:]
+        yield s
+
+
 def simpson_weights(m, h):
-    """Weights for int_0^{m h} on nodes 0..m: composite Simpson, with a
-    Simpson-3/8 tail when the interval count is odd (trapezoid at m = 1)."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    if m == 1:
-        w[:] = h / 2.0
-        return w
-    if m % 2 == 0:
-        w[0] = w[m] = h / 3.0
-        w[1:m:2] = 4.0 * h / 3.0
-        w[2:m:2] = 2.0 * h / 3.0
-        return w
-    # odd m >= 3: Simpson on [0, m-3], 3/8 rule on the last three intervals
-    head = simpson_weights(m - 3, h)
-    w[: m - 2] = head
-    w[m - 3] += 3.0 * h / 8.0
-    w[m - 2] += 9.0 * h / 8.0
-    w[m - 1] += 9.0 * h / 8.0
-    w[m] += 3.0 * h / 8.0
+    """Weights of simpson_prefix for int_0^{m h} on nodes 0..m."""
+    *_, w = simpson_prefix(np.eye(m + 1), h)
     return w
 
 
+def mild_defect_profile(traj, nonlinearity, beta):
+    """H^beta norm, at every stored time t_m, of the mild-equation defect in
+    the interaction picture
+
+        D(t_m) = e^{-i t_m Lap} phi(t_m) - phi(0)
+                 + i int_0^{t_m} e^{-i s Lap} N(phi(s)) ds,
+
+    with N = nonlinearity (a map from state to field, coupling included).
+    e^{-i t_m Lap} preserves H^beta, so this is the norm of the lab-frame
+    defect phi(t_m) - e^{i t_m Lap} phi(0) + i int e^{i (t_m - s) Lap} N.
+    One streaming Simpson pass: O(M n) work, no stack of stored-time fields.
+    """
+    if len(traj.times) < 3:
+        raise ValueError("need at least 3 time points")
+    lam = _freq_sq(traj.geometry)
+    integrand = (np.exp(1j * t * lam) * nonlinearity(st).coeffs
+                 for t, st in zip(traj.times, traj.states))
+    c0 = traj.states[0].coeffs
+    out = np.empty(len(traj.times))
+    for m, integral in enumerate(simpson_prefix(integrand, traj.dt)):
+        pulled = np.exp(1j * traj.times[m] * lam) * traj.states[m].coeffs
+        out[m] = sobolev_norm(SpectralField(traj.geometry, pulled - c0 + 1j * integral), beta)
+    return out
+
+
 def duhamel_defect_profile(traj, beta=None):
-    """H^beta norm of the mild-equation defect at every stored time.
+    """H^beta norm of the cubic mild-equation defect at every stored time
+    (mild_defect_profile with N = mu |phi|^2 phi); beta defaults to -d/2 - 0.1.
 
     The integrand uses the dealiased cubic product, while the split-step
     nonlinear phase acts pointwise on the base grid; the two agree (and the
@@ -153,33 +189,9 @@ def duhamel_defect_profile(traj, beta=None):
     stay inside the base band, i.e. 3 max|n| < M/2 per axis for the initial
     data.  Wider data leaves a dt-independent aliasing floor.
     """
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 time points")
-    geom = traj.geometry
     if beta is None:
-        beta = -geom.d / 2.0 - 0.1
-    lam = _freq_sq(geom)
-    h = traj.dt
-    M = len(traj.times) - 1
-    # W_j = e^{+i t_j lam-phase} * coeffs of mu |phi|^2 phi at t_j
-    W = np.empty((M + 1,) + geom.grid, dtype=np.complex128)
-    for j, (t, st) in enumerate(zip(traj.times, traj.states)):
-        g = cubic_field(st)
-        W[j] = np.exp(1j * t * lam) * (traj.coupling * g.coeffs)
-    c0 = traj.states[0].coeffs
-    out = np.zeros(M + 1)
-    flatW = W.reshape(M + 1, -1)
-    for m in range(M + 1):
-        t = traj.times[m]
-        fwd = np.exp(-1j * t * lam)
-        if m == 0:
-            integral = np.zeros(geom.grid, dtype=np.complex128)
-        else:
-            w = simpson_weights(m, h)
-            integral = fwd * (w @ flatW[: m + 1]).reshape(geom.grid)
-        defect = traj.states[m].coeffs - fwd * c0 + 1j * integral
-        out[m] = sobolev_norm(SpectralField(geom, defect), beta)
-    return out
+        beta = -traj.geometry.d / 2.0 - 0.1
+    return mild_defect_profile(traj, lambda st: traj.coupling * cubic_field(st), beta)
 
 
 def duhamel_residual(traj, beta=None):

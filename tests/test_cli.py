@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -96,13 +97,33 @@ def test_trajectory_round_trip(tmp_path):
     assert back.geometry == geom
     assert back.coupling == -1.0
     assert np.array_equal(back.times, traj.times)
-    err = max(np.abs(a.coeffs - b.coeffs).max()
-              for a, b in zip(traj.states, back.states))
-    assert err < 1e-6  # storage is single precision
-    # round-tripping the read-back trajectory is bit exact
+    # storage is double precision: the states come back bit for bit
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(traj.states, back.states))
     path2 = tmp_path / "t2.bin"
     write_trajectory(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_trajectory_reads_version_1_files(tmp_path):
+    # format version 1 stores the coefficient blocks as complex64
+    rng = np.random.default_rng(5)
+    blocks = (rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))).astype("<c8")
+    times = np.array([0.0, 0.1, 0.2])
+    data = (b"NLSLTRJ1" + struct.pack("<II", 1, 2) + struct.pack("<2d", 1.0, 2.0)
+            + struct.pack("<2I", 4, 6) + struct.pack("<dQ", -1.0, 3)
+            + times.astype("<f8").tobytes() + blocks.tobytes())
+    path = tmp_path / "v1.bin"
+    path.write_bytes(data)
+    back = read_trajectory(path)
+    assert back.geometry == TorusGeometry(2, (1.0, 2.0), (4, 6))
+    assert back.coupling == -1.0
+    assert np.array_equal(back.times, times)
+    for st, block in zip(back.states, blocks):
+        assert st.coeffs.dtype == np.complex128
+        assert np.array_equal(st.coeffs, block.astype(np.complex128))
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match="implies %d bytes, found %d" % (len(data), len(data) - 8)):
+        read_trajectory(path)
 
 
 def test_trajectory_wrong_length(tmp_path):
@@ -112,7 +133,7 @@ def test_trajectory_wrong_length(tmp_path):
     write_trajectory(traj, path)
     data = path.read_bytes()
     size = len(data)
-    assert size == 16 + 12 * 2 + 16 + 8 * 3 * (1 + 32 * 32)
+    assert size == 16 + 12 * 2 + 16 + 3 * (8 + 16 * 32 * 32)
     for cut in (data[:-100], data + b"\x00" * 8):
         path.write_bytes(cut)
         msg = "%s: its header implies %d bytes, found %d" % (path, size, len(cut))

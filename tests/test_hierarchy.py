@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nlslab import hierarchy as hierarchy_module
 from nlslab.hierarchy import (
     DEFAULT_RANK_BUDGET,
     FactorizedDensityMatrix,
@@ -23,7 +24,7 @@ from nlslab.hierarchy import (
     tensor_power,
     trace_norm,
 )
-from nlslab.solver import plane_wave_trajectory, solve_nls
+from nlslab.solver import plane_wave_trajectory, simpson_weights, solve_nls
 from nlslab.torus import (
     SpectralField,
     TorusGeometry,
@@ -192,6 +193,55 @@ def test_defect_matrix_zero_at_t0():
     traj = solve_nls(random_shell_field(GEOM32, 2, 1), 0.02, 0.01)
     d0 = hierarchy_defect_matrix(traj, 1, 0)
     assert trace_norm(d0) < 1e-12
+
+
+def _lab_frame_defect(traj, k, m):
+    # gamma(t_m) - U(t_m) gamma0 + i mu Simpson_j w_j U(t_m - s_j) B gamma^{(k+1)}(s_j)
+    t = float(traj.times[m])
+    terms = list(tensor_power(traj.states[m], k).terms)
+    g0 = hierarchy_free_evolve(tensor_power(traj.states[0], k), t)
+    terms += [(-c, ke, br) for c, ke, br in g0.terms]
+    w = simpson_weights(m, traj.dt)
+    for j in range(m + 1):
+        coll = collision_full(tensor_power(traj.states[j], k + 1))
+        ev = hierarchy_free_evolve(coll, t - float(traj.times[j]))
+        terms += [(1j * traj.coupling * w[j] * c, ke, br) for c, ke, br in ev.terms]
+    return FactorizedDensityMatrix(k, terms)
+
+
+def test_defect_matrix_is_the_lab_frame_defect_pulled_back():
+    # a coarse step keeps the defect far above round-off of the term mass
+    traj = solve_nls(random_shell_field(GEOM32, 2, 2), 0.35, 0.05, coupling=-1.0)
+    for k in (1, 2):
+        for m in (1, 2, 3, 7):
+            got = hierarchy_defect_matrix(traj, k, m)
+            ref = _lab_frame_defect(traj, k, m)
+            assert got.rank == ref.rank
+            for alpha in (0.0, -default_zeta(1)):
+                a = trace_norm(apply_sobolev_op(got, alpha))
+                b = trace_norm(apply_sobolev_op(ref, alpha))
+                assert abs(a - b) <= 1e-12 * b, (k, m, alpha, a, b)
+
+
+def test_residual_builds_each_stored_time_integrand_once(monkeypatch):
+    calls = []
+
+    def spy(gamma, budget=DEFAULT_RANK_BUDGET):
+        calls.append(gamma.order)
+        return collision_full(gamma, budget=budget)
+
+    monkeypatch.setattr(hierarchy_module, "collision_full", spy)
+    traj = solve_nls(random_shell_field(GEOM32, 2, 3), 0.1, 0.01)
+    hierarchy_duhamel_residual(traj, 2)
+    assert calls == [3] * len(traj.times)
+
+
+def test_residual_checks_rank_budget_before_building(monkeypatch):
+    monkeypatch.setattr(hierarchy_module, "collision_full", None)
+    traj = solve_nls(random_shell_field(GEOM32, 2, 3), 0.1, 0.01)
+    # 2 + 11 * 2 k terms at the final checkpoint
+    with pytest.raises(RankBudgetError, match="needs 46 terms"):
+        hierarchy_duhamel_residual(traj, 2, budget=45)
 
 
 def test_default_zeta_values():

@@ -4,24 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nlslab.fl1d import gauge_transform, renormalized_duhamel_residual, renormalized_nonlinearity
 from nlslab.solver import (
     BlowUpError,
     Trajectory,
     duhamel_defect_profile,
     duhamel_residual,
     mass,
+    mild_defect_profile,
     plane_wave_trajectory,
+    simpson_prefix,
     simpson_weights,
     solve_nls,
     spacetime_l3_norm,
     strang_step,
 )
 from nlslab.torus import (
+    SpectralField,
     TorusGeometry,
+    _freq_sq,
+    cubic_field,
+    l2_norm,
     lp_norm,
     mode_field,
     random_shell_field,
+    sobolev_norm,
     unit_constant_field,
     zero_field,
 )
@@ -45,6 +54,61 @@ def test_simpson_weights_trapezoid_fallback():
     w = simpson_weights(1, 0.5)
     assert np.allclose(w, [0.25, 0.25])
     assert simpson_weights(0, 0.5).sum() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.floats(1e-3, 10.0), st.integers(0, 2 ** 32 - 1))
+def test_simpson_prefix_matches_weights_and_is_exact_on_cubics(m, h, seed):
+    f = np.random.default_rng(seed).standard_normal(m + 1)
+    prefix = list(simpson_prefix(f, h))
+    assert len(prefix) == m + 1
+    for i, got in enumerate(prefix):
+        w = simpson_weights(i, h)
+        assert abs(got - w @ f[: i + 1]) <= 1e-12 * (1.0 + np.abs(w) @ np.abs(f[: i + 1]))
+    x = h * np.arange(m + 1)
+    for k in range(4):
+        for i, got in enumerate(simpson_prefix(x ** k, h)):
+            if i == 1 and k > 1:
+                continue  # the m = 1 trapezoid is exact through linears only
+            exact = (i * h) ** (k + 1) / (k + 1)
+            assert abs(got - exact) <= 1e-12 * max(1.0, exact)
+
+
+def _lab_frame_profile(traj, nonlinearity, norm):
+    # the mild defect phi(t_m) - e^{i t_m Lap} phi0 + i int_0^{t_m} e^{i (t_m - s) Lap} N ds,
+    # one Simpson weight vector per stored time
+    lam = _freq_sq(traj.geometry)
+    W = np.array([np.exp(1j * t * lam) * nonlinearity(s).coeffs
+                  for t, s in zip(traj.times, traj.states)])
+    c0 = traj.states[0].coeffs
+    out = []
+    for m, t in enumerate(traj.times):
+        fwd = np.exp(-1j * t * lam)
+        integral = fwd * np.tensordot(simpson_weights(m, traj.dt), W[: m + 1], axes=1)
+        defect = traj.states[m].coeffs - fwd * c0 + 1j * integral
+        out.append(norm(SpectralField(traj.geometry, defect)))
+    return np.array(out)
+
+
+def test_mild_defect_profile_matches_lab_frame_defect():
+    # non-square d = 2 torus, focusing, an odd interval count (3/8 tails)
+    geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 16))
+    traj = solve_nls(random_shell_field(geom, 2, 3), 0.09, 0.01, coupling=-1.0)
+    cubic = lambda s: traj.coupling * cubic_field(s)
+    for beta in (-1.1, 0.0, 1.0):
+        got = mild_defect_profile(traj, cubic, beta)
+        ref = _lab_frame_profile(traj, cubic, lambda f: sobolev_norm(f, beta))
+        assert got[0] == ref[0] == 0.0
+        assert np.abs(got[1:] - ref[1:]).max() <= 1e-10 * ref[1:].min()
+    assert np.array_equal(duhamel_defect_profile(traj), mild_defect_profile(traj, cubic, -1.1))
+    # the gauge path: renormalized nonlinearity on the gauged trajectory, L^2
+    traj = solve_nls(random_shell_field(GEOM1, 2, 4), 0.1, 0.01)
+    gauged = gauge_transform(traj)
+    renorm = lambda s: renormalized_nonlinearity(s, gauged.coupling)
+    got = mild_defect_profile(gauged, renorm, 0.0)
+    ref = _lab_frame_profile(gauged, renorm, l2_norm)
+    assert np.abs(got[1:] - ref[1:]).max() <= 1e-10 * ref[1:].min()
+    assert renormalized_duhamel_residual(traj) == got.max()
 
 
 def test_zero_initial_data_stays_zero():
