@@ -150,22 +150,15 @@ def hierarchy_free_evolve(gamma, t):
     return _map_factors(gamma, lambda f: free_evolve(f, t))
 
 
-def apply_sobolev_op(gamma, alpha, convention="eigenvalue"):
+def apply_sobolev_op(gamma, alpha):
     """S^{(k,alpha)}: a real Fourier multiplier on every ket and bra factor.
 
-    convention='eigenvalue' uses <lambda>^{alpha/2} with lambda = |xi|^2,
-    matching the per-eigenvalue Sobolev weight so the rank-one trace identity
-    is exact; convention='gradient' uses the conventional <xi>^{alpha}.
+    The weight is <lambda>^{alpha/2} with lambda = |xi|^2, the per-eigenvalue
+    Sobolev weight, so the rank-one trace identity is exact.
     """
     if not gamma.terms:
         return gamma
-    lam = _freq_sq(gamma.geometry)
-    if convention == "eigenvalue":
-        w = (1.0 + lam ** 2) ** (alpha / 4.0)
-    elif convention == "gradient":
-        w = (1.0 + lam) ** (alpha / 2.0)
-    else:
-        raise ValueError("unknown convention %r" % (convention,))
+    w = (1.0 + _freq_sq(gamma.geometry) ** 2) ** (alpha / 4.0)
 
     def mult(f):
         return SpectralField(f.geometry, f.coeffs * w)

@@ -90,24 +90,27 @@ def read_report(path):
 
 
 def refit_report(path):
-    """Recompute the fitted slope from a report's rows.
+    """Recompute the fitted slope from a report's rows, as the benches fit it.
 
-    The fit regresses log(last numeric column) on log(x) where x is the
-    first column, mapped through sqrt(1 + N^2) when that column is a dyadic
-    block index N (footer key 'fit = block') and used directly otherwise.
+    For each distinct value x of the first column the fit takes the largest
+    value of the last column, then regresses its log on log(x), with x
+    mapped through sqrt(1 + N^2) when that column is a dyadic block index N
+    (footer key 'fit = block') and used directly otherwise.  A report whose
+    first column labels its rows has no such fit and raises ValueError.
     """
     columns, rows, footer = read_report(path)
-    fit = footer.get("fit", "direct")
-    xs, ys = [], []
+    best = {}
     for row in rows:
-        x = float(row[0])
-        y = float(row[-1])
-        if fit == "block":
-            x = math.sqrt(1.0 + x ** 2)
-        xs.append(x)
-        ys.append(y)
-    slope, intercept, resid = fit_loglog(xs, ys)
-    return slope, intercept, resid
+        try:
+            x = float(row[0])
+        except ValueError:
+            raise ValueError("report %s: its first column %r labels rows, so there is "
+                             "no slope to refit" % (path, columns[0])) from None
+        best[x] = max(best.get(x, -math.inf), float(row[-1]))
+    xs = list(best)
+    if footer.get("fit", "direct") == "block":
+        xs = [math.sqrt(1.0 + x ** 2) for x in xs]
+    return fit_loglog(xs, list(best.values()))
 
 
 def write_manifest(path, argv, out_path):

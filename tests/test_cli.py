@@ -1,5 +1,6 @@
 """Report/manifest/trajectory persistence and the command-line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import sys
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.bench import ExperimentReport
-from nlslab.cli import main
+from nlslab.cli import build_parser, main
 from nlslab.report import (
     format_value,
     read_manifest,
@@ -235,3 +237,211 @@ def test_openblas_num_threads_sets_blas_threads():
     if out.strip() == "none":
         pytest.skip("no OpenBLAS thread-count symbol next to numpy")
     assert out.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface, pinned: every subcommand's options as
+# (type, default) or (type, default, required)
+
+_SWEEP_OUT = {"--seed": (int, 0), "--out": (None, None)}
+
+CLI_OPTIONS = {
+    "bench strichartz": {"--d": (int, 2), "--p": (float, 6.0), "--nmin": (int, 4),
+                         "--nmax": (int, 64), "--trials": (int, 50), **_SWEEP_OUT},
+    "bench bernstein": {"--p": (float, 2.0), "--q": (float, math.inf), "--d": (int, 2),
+                        "--nmin": (int, 4), "--nmax": (int, 32), "--trials": (int, 16),
+                        **_SWEEP_OUT},
+    "bench trilinear": {"--d": (int, 2), "--eta": (float, 0.25), "--zeta": (float, None),
+                        "--nmin": (int, 2), "--nmax": (int, 32), "--trials": (int, 6),
+                        "--T": (float, 1.0), **_SWEEP_OUT},
+    "bench cubic-product": {"--d": (int, 2), "--alpha": (float, None), "--nmin": (int, 2),
+                            "--nmax": (int, 16), "--trials": (int, 6), **_SWEEP_OUT},
+    "bench sobolev-product": {"--d": (int, 2), "--rho1": (float, 0.6), "--rho2": (float, 0.8),
+                              "--delta": (float, 0.1), "--rho-tri": (float, None),
+                              "--nmin": (int, 2), "--nmax": (int, 16), "--trials": (int, 6),
+                              **_SWEEP_OUT},
+    "bench sobolev-embedding": {"--d": (int, 2), "--p": (float, 4.0), "--s": (float, 0.6),
+                                "--nmin": (int, 2), "--nmax": (int, 16), "--trials": (int, 16),
+                                **_SWEEP_OUT},
+    "bench xsb-homogeneous": {"--r": (float, 2.0), "--b": (float, 0.25), "--s": (float, 0.0),
+                              "--mode": (int, 3), "--levels": (int, 4), "--out": (None, None)},
+    "bench xsb-inhomogeneous": {"--r": (float, 2.0), "--b": (float, 0.6), "--beta": (float, 0.0),
+                                "--s": (float, 0.0), "--mode": (int, 3), "--levels": (int, 4),
+                                "--out": (None, None)},
+    "verify duhamel": {"--d": (int, 2), "--grid": (int, 32), "--T": (float, 0.5),
+                       "--dt": (float, 4e-3), "--block": (int, 2), "--seed": (int, 0),
+                       "--dump": (None, None)},
+    "verify hierarchy": {"--d": (int, 1), "--grid": (int, 32), "--k": (int, 1),
+                         "--T": (float, 0.5), "--dt": (float, 4e-3), "--block": (int, 2),
+                         "--seed": (int, 0)},
+    "verify lemma25": {"--m": (int, 4), "--seed": (int, 0), "--tol": (float, 1e-10)},
+    "verify gauge": {"--grid": (int, 64), "--T": (float, 0.2), "--dt": (float, 4e-3),
+                     "--block": (int, 2), "--seed": (int, 0)},
+    "verify expansion": {"--k": (int, 1), "--r": (int, 2), "--grid": (int, 32),
+                         "--T": (float, 0.2), "--dt": (float, 0.025), "--block": (int, 2),
+                         "--seed": (int, 0)},
+    "combinatorics enumerate": {"--k": (int, None, True), "--r": (int, None, True),
+                                "--out": (None, None)},
+    "combinatorics count": {"--k": (int, None, True), "--r": (int, None, True)},
+    "params table": {"--d": (None, "2..6"), "--out": (None, None)},
+    "rerun": {"manifest": (None, None, True)},
+}
+
+
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def _cli_options():
+    """{'group cmd': {option: (type, default, type of default, required)}}."""
+    found = {}
+    for group, gp in _subparsers(build_parser())[0].choices.items():
+        inner = _subparsers(gp)
+        leaves = inner[0].choices.items() if inner else [(None, gp)]
+        for cmd, cp in leaves:
+            found[" ".join(filter(None, (group, cmd)))] = {
+                (a.option_strings[0] if a.option_strings else a.dest):
+                    (a.type, a.default, type(a.default), a.required)
+                for a in cp._actions if not isinstance(a, argparse._HelpAction)}
+    return found
+
+
+def test_cli_options_pinned():
+    want = {name: {opt: (spec[0], spec[1], type(spec[1]), spec[2] if len(spec) > 2 else False)
+                   for opt, spec in opts.items()}
+            for name, opts in CLI_OPTIONS.items()}
+    assert _cli_options() == want
+
+
+def test_module_help_lists_every_command():
+    src = os.path.dirname(os.path.dirname(nlslab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-m", "nlslab.cli", "--help"], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    for name in CLI_OPTIONS:
+        assert re.search(r"^    %s +-> \S" % re.escape(name), out, re.M), name
+
+
+# (subcommand and small sizes, columns, data rows, first column numeric)
+BENCH_SMOKE = [
+    ("strichartz --nmin 4 --nmax 16 --trials 2 --seed 7", ["N", "data", "lhs", "rhs", "ratio"],
+     12, True),
+    ("bernstein --nmin 4 --nmax 16 --trials 3", ["N", "data", "lhs", "rhs", "ratio"], 12, True),
+    ("trilinear --nmin 2 --nmax 8 --trials 2", ["N1", "N2", "N3", "max_ratio"], 3, True),
+    ("cubic-product --nmin 2 --nmax 8 --trials 2", ["N", "max_ratio"], 3, True),
+    ("sobolev-product --nmin 2 --nmax 8 --trials 2 --rho-tri 0.7",
+     ["form", "N1", "N2", "max_ratio"], 6, False),
+    ("sobolev-embedding --nmin 2 --nmax 8 --trials 2", ["part", "N", "max_ratio"], 6, False),
+    ("xsb-homogeneous --levels 3", ["T", "norm"], 3, True),
+    ("xsb-inhomogeneous --levels 3", ["T", "ratio"], 3, True),
+]
+
+
+@pytest.mark.parametrize("args, columns, nrows, numeric", BENCH_SMOKE,
+                         ids=[case[0].split()[0] for case in BENCH_SMOKE])
+def test_cli_bench_smoke(tmp_path, monkeypatch, capsys, args, columns, nrows, numeric):
+    cmd = args.split()[0]
+    argv = ["bench"] + args.split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == nrows + 1
+    assert out[-1].startswith("# slope = ")
+    monkeypatch.setenv("NLSLAB_OUTDIR", str(tmp_path))
+    assert main(argv + ["--out", "r.csv"]) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % (tmp_path / "r.csv")
+    got_columns, rows, footer = read_report(tmp_path / "r.csv")
+    assert got_columns == columns
+    assert len(rows) == nrows
+    assert footer["name"] == cmd
+    assert footer["fit"] == ("direct" if cmd.startswith("xsb") else "block")
+    assert read_manifest(tmp_path / "r.manifest.json")["argv"] == argv + ["--out", "r.csv"]
+
+
+@pytest.mark.parametrize("args, columns, nrows, numeric", BENCH_SMOKE,
+                         ids=[case[0].split()[0] for case in BENCH_SMOKE])
+def test_refit_report_matches_the_reported_slope(tmp_path, args, columns, nrows, numeric):
+    path = tmp_path / "r.csv"
+    assert main(["bench"] + args.split() + ["--out", str(path)]) == 0
+    if not numeric:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            refit_report(path)
+        return
+    slope = float(read_report(path)[2]["slope"])
+    assert abs(refit_report(path)[0] - slope) < 1e-12
+
+
+_NUM = r"\d\.\d+e[-+]\d\d"
+
+# (argv, a full-match pattern per stdout line)
+OTHER_SMOKE = [
+    ("verify duhamel --T 0.1", ["relative mass drift " + _NUM]
+     + [r"duhamel: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)] * 2),
+    ("verify hierarchy --T 0.1", ["plane-wave residual " + _NUM,
+                                  r"hierarchy k=1: %s -> %s  ratio \d\.\d{4}  \[ok\]"
+                                  % (_NUM, _NUM)]),
+    ("verify lemma25 --m 3", ["m=%d defect %s" % (m, _NUM) for m in (1, 2, 3)]),
+    ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
+                              r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
+    ("verify expansion --T 0.1 --dt 0.02",
+     [r"expansion r=2: %s -> %s  \(ratio \d\.\d{3}\)" % (_NUM, _NUM)]),
+    ("combinatorics enumerate --k 2 --r 2",
+     [re.escape("2 2 : %d %d" % (a, b)) for a in (1, 2) for b in (1, 2, 3)]),
+    ("combinatorics count --k 3 --r 4", ["360"]),
+    ("params table --d 3", ["d,zeta0,alpha0,epsilon,s0,q0,epsilon_open",
+                            re.escape("3,3/5,4/5,1/10,4/5,10/7,False")]),
+]
+
+
+@pytest.mark.parametrize("args, lines", OTHER_SMOKE, ids=[case[0] for case in OTHER_SMOKE])
+def test_cli_smoke(capsys, args, lines):
+    assert main(args.split()) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(lines)
+    for line, pattern in zip(out, lines):
+        assert re.fullmatch(pattern, line), line
+
+
+def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NLSLAB_OUTDIR", str(tmp_path))
+    assert main(["verify", "duhamel", "--d", "1", "--T", "0.1", "--dump", "t.bin"]) == 0
+    assert "wrote %s\n" % (tmp_path / "t.bin") in capsys.readouterr().out
+    back = read_trajectory(tmp_path / "t.bin")
+    assert back.geometry == TorusGeometry(1, (1.0,), (32,))
+    assert len(back.times) == 26
+
+
+def test_cli_missing_required_option_is_a_usage_error(capsys):
+    assert main(["combinatorics", "count", "--k", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the following arguments are required: --r\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "xsb-homogeneous", "--levels", "3", "--out", "h.csv"],
+    ["bench", "xsb-homogeneous", "--levels", "3", "--out=h.csv"],
+    ["params", "table", "--out=p.csv"],
+    ["combinatorics", "enumerate", "--k", "2", "--r", "2", "--out", "maps.txt"],
+], ids=["out-space", "out-equals", "params", "enumerate"])
+def test_cli_rerun_leaves_the_stored_run_alone(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    manifests = [name for name in stored if name.endswith(".manifest.json")]
+    assert len(manifests) == 1
+    assert main(["rerun", manifests[0]]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+
+
+@pytest.mark.parametrize("name", list(CLI_OPTIONS))
+def test_subcommand_help_shows_defaults(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(name.split() + ["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for opt, spec in CLI_OPTIONS[name].items():
+        if opt.startswith("--"):
+            metavar = opt[2:].replace("-", "_").upper()
+            assert re.search(r"%s %s [^(]*\(default: %s\)" % (
+                re.escape(opt), metavar, re.escape(str(spec[1]))), out), opt

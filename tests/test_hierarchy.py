@@ -1,8 +1,6 @@
 """Factorized density matrices: collisions, evolution, trace norms,
 and the mild-hierarchy residual."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -155,13 +153,9 @@ def test_free_evolution_is_isospectral():
 
 def test_sobolev_op_conventions():
     phi = mode_field(GEOM, (2,))  # lambda = 4
-    g1 = apply_sobolev_op(tensor_power(phi, 1), 1.0, convention="eigenvalue")
+    g1 = apply_sobolev_op(tensor_power(phi, 1), 1.0)
     expect = (1.0 + 16.0) ** 0.25
     assert abs(g1.terms[0][1][0].coeffs[2] - expect) < 1e-12
-    g2 = apply_sobolev_op(tensor_power(phi, 1), 1.0, convention="gradient")
-    assert abs(g2.terms[0][1][0].coeffs[2] - math.sqrt(5.0)) < 1e-12
-    with pytest.raises(ValueError):
-        apply_sobolev_op(tensor_power(phi, 1), 1.0, convention="bogus")
 
 
 def test_rank_budget_enforced():
