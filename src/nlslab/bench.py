@@ -116,10 +116,10 @@ def fit_loglog(x, y):
 
 
 def fit_exponent(rows):
-    """Slope of log ratio against log <N> for rows of (N, ratio)."""
-    Ns = sorted({float(N) for N, _ in rows})
-    if len(Ns) < 3:
-        raise ValueError("need at least 3 distinct N values")
+    """Slope, intercept and rms residual of log ratio against log <N> for
+    rows of (N, ratio); all NaN below 3 distinct N, where no trend shows."""
+    if len({float(N) for N, _ in rows}) < 3:
+        return math.nan, math.nan, math.nan
     x = [math.sqrt(1.0 + float(N) ** 2) for N, _ in rows]
     y = [float(r) for _, r in rows]
     return fit_loglog(x, y)
@@ -271,8 +271,7 @@ def bench_strichartz(d, p, N_list, trials, seed, nt_random=32):
             rows.append((N, kind, ratio, 1.0, ratio))
     maxrows = [(N, max(r[4] for r in rows if r[0] == N)) for N in N_list]
     slope, intercept, resid = fit_exponent(maxrows)
-    ex_rows = [(N, r[4]) for N in N_list for r in rows if r[0] == N and r[1] == "ones"]
-    ex_slope = fit_exponent(ex_rows)[0] if len(ex_rows) >= 3 else math.nan
+    ex_slope = fit_exponent([(r[0], r[4]) for r in rows if r[1] == "ones"])[0]
     target = d / 2.0 - (d + 2.0) / p
     rep = ExperimentReport(
         "strichartz",
@@ -420,9 +419,7 @@ def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
         best = max(best, _trilinear_ratio(phis, eta, zeta, T, nt_ex))
         rows.append((Ns[0], Ns[1], Ns[2], best))
     eqrows = [(max(r[:3]), r[3]) for r in rows]
-    slope, intercept, resid = (math.nan, math.nan, math.nan)
-    if len({N for N, _ in eqrows}) >= 3:
-        slope, intercept, resid = fit_exponent(eqrows)
+    slope, intercept, resid = fit_exponent(eqrows)
     rep = ExperimentReport(
         "trilinear",
         {"d": d, "eta": eta, "zeta": zeta, "T": T},
@@ -517,9 +514,7 @@ def bench_sobolev_product(d, rho1, rho2, delta, N_pairs, trials, seed, rho_tri=N
                 best3 = max(best3, ratio)
             rows.append(("trilinear", N1, N2, best3))
     bi = [(max(r[1], r[2]), r[3]) for r in rows if r[0] == "bilinear"]
-    slope, intercept, resid = (math.nan, math.nan, math.nan)
-    if len({N for N, _ in bi}) >= 3:
-        slope, intercept, resid = fit_exponent(bi)
+    slope, intercept, resid = fit_exponent(bi)
     rep = ExperimentReport(
         "sobolev-product",
         {"d": d, "rho1": rho1, "rho2": rho2, "delta": delta,

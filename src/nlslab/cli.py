@@ -94,8 +94,7 @@ def _emit(result, fit, argv, out):
         result.footer.setdefault("fit", fit)
         _report.write_report(result, out)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write("\n".join(result) + "\n")
+        _report.write_atomic(out, "\n".join(result) + "\n")
     _report.write_manifest(_manifest_path(out), argv, out)
     print("wrote %s" % out)
 
@@ -244,20 +243,24 @@ def _rerun(args):
     saved_outdir = os.environ.pop("NLSLAB_OUTDIR", None)
     try:
         code = _run(rerun_args, doc["argv"])
+        if code != 0:
+            return code
+        with open(fresh, "rb") as fh:
+            after = fh.read()
+        fresh_doc = _report.read_manifest(_manifest_path(fresh))
     finally:
         if saved_outdir is not None:
             os.environ["NLSLAB_OUTDIR"] = saved_outdir
-    if code != 0:
-        return code
-    with open(fresh, "rb") as fh:
-        after = fh.read()
-    os.remove(fresh)
-    if os.path.exists(_manifest_path(fresh)):
-        os.remove(_manifest_path(fresh))
+        for path in (fresh, _manifest_path(fresh)):
+            if os.path.exists(path):
+                os.remove(path)
     if before == after:
         print("byte-identical: %s" % stored)
         return 0
     print("MISMATCH against %s" % stored)
+    print("stored with %s; re-run with %s" % tuple(", ".join(
+        "%s %s" % (name, d.get("versions", {}).get(name, "unrecorded"))
+        for name in ("nlslab", "numpy", "python")) for d in (doc, fresh_doc)))
     return 2
 
 

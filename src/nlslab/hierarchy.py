@@ -6,8 +6,8 @@ products, term = (coefficient, k ket factors, k bra factors), with kernel
 
     gamma(x_1..x_k; x'_1..x'_k) = sum_m c_m prod_j f_{m,j}(x_j) conj(g_{m,j}(x'_j)).
 
-Dense order-k kernels are never formed outside small-grid oracle paths; the
-trace norm is computed by Gram-matrix reduction to an R x R nuclear norm.
+Dense order-k kernels are never formed outside small-grid oracle paths; trace
+norms come from a streamed QR of Khatri-Rao products (trace_norms).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "hierarchy_free_evolve",
     "apply_sobolev_op",
     "trace_norm",
+    "trace_norms",
     "dense_kernel",
     "dense_trace_norm",
     "is_hermitian",
@@ -166,70 +167,74 @@ def apply_sobolev_op(gamma, alpha):
     return _map_factors(gamma, mult)
 
 
-def _gram(factors_by_slot, vol):
-    """Gram matrix of tensor-product vectors from slot-wise factor stacks."""
-    R = factors_by_slot[0].shape[0]
-    G = np.ones((R, R), dtype=np.complex128)
-    for V in factors_by_slot:
-        G *= (V.conj() @ V.T) * vol
-    return G
+# Singular values below TRUNCATION times the largest are dropped from every
+# coordinate matrix; the trace norm moves by rounding of the term mass only.
+TRUNCATION = 1e-15
 
 
-def _gram_factor(G, floor=1e-14):
-    """R x R matrix S with S^H S = G (eigenvalue square root, floored)."""
-    w, U = np.linalg.eigh((G + G.conj().T) / 2.0)
-    w = np.where(w < floor, 0.0, w)
-    return (U * np.sqrt(w)).conj().T
+def _truncated_rows(X):
+    """diag(s) V^H of the SVD of X without the singular values below
+    TRUNCATION times the largest: rows whose Gram matrix is X^H X."""
+    _, s, vh = np.linalg.svd(X, full_matrices=False)
+    keep = s > TRUNCATION * s.max(initial=0.0)
+    return s[keep, None] * vh[keep]
 
 
-def _factor_stacks(gamma, side):
-    """Per-slot (R, n) stacks of the ket (side=1) or bra (side=2) factors."""
-    return [np.stack([t[side][slot].coeffs.ravel() for t in gamma.terms])
-            for slot in range(gamma.order)]
+def _khatri_rao_rows(T, V):
+    """Coordinates of the columns T[:, i] (x) V[:, i] from the R-factor of
+    their rows T[a] * V[b], accumulated by QR in blocks of about 2R rows so
+    that the len(T) * len(V) rows are never all formed (TSQR)."""
+    R = T.shape[1]
+    step = max(1, 2 * R // max(1, len(V)))
+    acc = np.zeros((0, R), dtype=np.complex128)
+    for a in range(0, len(T), step):
+        rows = (T[a:a + step, None, :] * V[None, :, :]).reshape(-1, R)
+        acc = np.linalg.qr(np.concatenate([acc, rows]), mode="r")
+    return _truncated_rows(acc)
 
 
-def _tensor_stack(gamma, side):
-    """(R, n^k) matrix of the ket (side=1) or bra (side=2) tensor vectors."""
-    out, *rest = _factor_stacks(gamma, side)
-    for V in rest:
-        out = np.einsum("ri,rj->rij", out, V).reshape(gamma.rank, -1)
-    return out
+def _reduced_matrices(gammas):
+    """Each term list as an r x r matrix T_kets diag(c) T_bras^H in one
+    orthonormal basis of the ket and bra columns of all the lists.
+
+    Factors are the same when their coefficient bytes are.  Stage j takes
+    each distinct (column prefix of j slots, factor in slot j + 1) to the
+    coordinates of its Khatri-Rao product, so each prefix is reduced once."""
+    vol = next(g.geometry.volume for g in gammas if g.terms)
+    index, by_bytes = {}, {}
+    for g in gammas:
+        for _, kets, bras in g.terms:
+            for f in kets + bras:
+                if id(f) not in index:
+                    index[id(f)] = by_bytes.setdefault(f.coeffs.tobytes(), len(by_bytes))
+    factors = np.frombuffer(b"".join(by_bytes), dtype=np.complex128).reshape(len(by_bytes), -1)
+    # one row per column: the ket of term m of the lists, in order, then its bra
+    slots = np.array([[index[id(f)] for f in t[side]]
+                      for g in gammas for t in g.terms for side in (1, 2)])
+    F = _truncated_rows(factors.T * math.sqrt(vol))
+    T, ids = F, slots[:, 0]
+    for j in range(1, slots.shape[1]):
+        pairs, ids = np.unique(np.stack([ids, slots[:, j]], axis=1), axis=0,
+                               return_inverse=True)
+        T = _khatri_rao_rows(T[:, pairs[:, 0]], F[:, pairs[:, 1]])
+    ids, ends = ids.ravel(), np.cumsum([0] + [2 * g.rank for g in gammas])
+    return [(T[:, ids[a:b:2]] * [t[0] for t in g.terms]) @ T[:, ids[a + 1:b:2]].conj().T
+            for g, a, b in zip(gammas, ends, ends[1:])]
 
 
-STABLE_TRACE_BUDGET = 2 ** 23
+def trace_norms(gammas):
+    """Trace (nuclear) norms of term lists of one order and geometry over
+    one orthonormal basis of all their columns, so lists that share factors
+    share its cost; accurate to rounding of the term mass at every size."""
+    if not any(g.terms for g in gammas):
+        return [0.0] * len(gammas)
+    return [float(np.linalg.svd(A, compute_uv=False).sum())
+            for A in _reduced_matrices(gammas)]
 
 
-def trace_norm(gamma, floor=1e-14, stable_budget=STABLE_TRACE_BUDGET):
-    """Trace (nuclear) norm of the represented operator.
-
-    Reduces to the nuclear norm of the R x R matrix L diag(c) M^H, where L
-    and M carry orthonormal-basis coordinates of the ket/bra tensor factors.
-    When rank * n^k is affordable the coordinates come from a QR of the
-    explicit tensor vectors (numerically stable under heavy cancellation
-    between terms); otherwise they come from square roots of the Gram
-    matrices (entries are products over the k slots of factor inner
-    products), whose accuracy floor is ~sqrt(eps) of the total term mass.
-    """
-    if gamma.rank == 0:
-        return 0.0
-    vol = gamma.geometry.volume
-    dim = gamma.geometry.npoints ** gamma.order
-    c = np.array([t[0] for t in gamma.terms], dtype=np.complex128)
-    if gamma.rank * dim <= stable_budget:
-        scale = math.sqrt(vol) ** gamma.order
-        F = _tensor_stack(gamma, 1).T * scale  # (n^k, R)
-        G = _tensor_stack(gamma, 2).T * scale
-        L = np.linalg.qr(F, mode="r")
-        M = np.linalg.qr(G, mode="r")
-        # qr(mode='r') loses Q, but only coordinates matter: R-factors of F
-        # and G satisfy F = Q_F L, G = Q_G M up to column signs of Q, which
-        # drop out of singular values.
-        small = L @ np.diag(c) @ M.conj().T
-        return float(np.linalg.svd(small, compute_uv=False).sum())
-    L = _gram_factor(_gram(_factor_stacks(gamma, 1), vol), floor)
-    M = _gram_factor(_gram(_factor_stacks(gamma, 2), vol), floor)
-    small = L @ np.diag(c) @ M.conj().T
-    return float(np.linalg.svd(small, compute_uv=False).sum())
+def trace_norm(gamma):
+    """Trace (nuclear) norm of the represented operator (see trace_norms)."""
+    return trace_norms([gamma])[0]
 
 
 def dense_kernel(gamma, max_size=4096):
@@ -261,27 +266,13 @@ def dense_trace_norm(gamma, max_size=4096):
 
 
 def is_hermitian(gamma, tol=1e-12):
-    """Term-list check: closed under bra/ket swap + coefficient conjugation.
-
-    Decided by comparing dense kernels of gamma and its adjoint on the term
-    level via Gram norms: || gamma - gamma^H ||_HS == 0 up to tol.
-    """
+    """|| gamma - gamma^H ||_HS^2 <= tol || gamma ||_HS^2, with both
+    Hilbert-Schmidt norms taken as Frobenius norms of the matrix that
+    represents gamma in one orthonormal basis of its kets and bras."""
     if gamma.rank == 0:
         return True
-    swapped = [(np.conj(c), bras, kets) for c, kets, bras in gamma.terms]
-    diff = FactorizedDensityMatrix(
-        gamma.order, gamma.terms + [(-c, k_, b_) for c, k_, b_ in swapped]
-    )
-    # Hilbert-Schmidt norm of the difference via the same Gram machinery
-    vol = gamma.geometry.volume
-    c = np.array([t[0] for t in diff.terms], dtype=np.complex128)
-    A = _gram(_factor_stacks(diff, 1), vol)
-    B = _gram(_factor_stacks(diff, 2), vol)
-    hs2 = float(np.real(np.einsum("i,j,ij,ji->", np.conj(c), c, A, B)))
-    scale = float(np.real(np.einsum("i,j,ij,ji->", np.conj(c[: gamma.rank]),
-                                    c[: gamma.rank], A[: gamma.rank, : gamma.rank],
-                                    B[: gamma.rank, : gamma.rank])))
-    return hs2 <= tol * max(scale, 1e-300)
+    A = _reduced_matrices([gamma])[0]
+    return bool(np.linalg.norm(A - A.conj().T) ** 2 <= tol * max(np.linalg.norm(A) ** 2, 1e-300))
 
 
 def default_zeta(d):
@@ -342,7 +333,8 @@ def hierarchy_duhamel_residual(traj, k, zeta=None, budget=DEFAULT_RANK_BUDGET):
 
     The defect is evaluated on four evenly spaced stored times, always
     including the final one; the integral itself always uses the full stored
-    grid, whose integrand is built once and shared by every checkpoint.
+    grid, whose integrand is built once and shared by every checkpoint, as
+    is the basis of their trace norms (trace_norms).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -352,7 +344,6 @@ def hierarchy_duhamel_residual(traj, k, zeta=None, budget=DEFAULT_RANK_BUDGET):
     integrand = _pulled_back_collisions(traj, k, M, budget)
     if zeta is None:
         zeta = default_zeta(traj.geometry.d)
-    return max(
-        trace_norm(apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta))
-        for m in {int(round(i * M / 4)) for i in range(1, 5)}
-    )
+    return max(trace_norms(
+        [apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta)
+         for m in {int(round(i * M / 4)) for i in range(1, 5)}]))

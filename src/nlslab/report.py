@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 
-from .bench import fit_loglog
+from .bench import fit_exponent, fit_loglog
 from .solver import Trajectory
 from .torus import SpectralField, TorusGeometry
 
 __all__ = [
     "format_value",
+    "write_atomic",
     "write_report",
     "read_report",
     "refit_report",
@@ -42,6 +45,21 @@ def format_value(v):
     return str(v)
 
 
+def write_atomic(path, text, what="report"):
+    """Write text to path through a temporary file and os.replace, so that
+    path holds the old file or the whole new one, never a part."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError("cannot write %s to %s: %s" % (what, path, exc)) from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_report(report, path):
     """Write an ExperimentReport as CSV with a '#' comment footer."""
     lines = [",".join(report.columns)]
@@ -57,11 +75,7 @@ def write_report(report, path):
     lines.append("# evidence_not_proof = %s" % report.evidence_not_proof)
     for key in sorted(report.footer):
         lines.append("# %s = %s" % (key, format_value(report.footer[key])))
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError("cannot write report to %s: %s" % (path, exc)) from exc
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_report(path):
@@ -93,10 +107,10 @@ def refit_report(path):
     """Recompute the fitted slope from a report's rows, as the benches fit it.
 
     For each distinct value x of the first column the fit takes the largest
-    value of the last column, then regresses its log on log(x), with x
-    mapped through sqrt(1 + N^2) when that column is a dyadic block index N
-    (footer key 'fit = block') and used directly otherwise.  A report whose
-    first column labels its rows has no such fit and raises ValueError.
+    value of the last column, then fits it as bench.fit_exponent does when
+    that column is a dyadic block index (footer key 'fit = block'), and
+    regresses its log on log(x) otherwise.  A report whose first column
+    labels its rows has no such fit and raises ValueError.
     """
     columns, rows, footer = read_report(path)
     best = {}
@@ -107,21 +121,17 @@ def refit_report(path):
             raise ValueError("report %s: its first column %r labels rows, so there is "
                              "no slope to refit" % (path, columns[0])) from None
         best[x] = max(best.get(x, -math.inf), float(row[-1]))
-    xs = list(best)
     if footer.get("fit", "direct") == "block":
-        xs = [math.sqrt(1.0 + x ** 2) for x in xs]
-    return fit_loglog(xs, list(best.values()))
+        return fit_exponent(list(best.items()))
+    return fit_loglog(list(best), list(best.values()))
 
 
 def write_manifest(path, argv, out_path):
-    """JSON manifest recording exactly how a report was produced."""
-    doc = {"format": 1, "argv": list(argv), "out": str(out_path)}
-    try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError("cannot write manifest to %s: %s" % (path, exc)) from exc
+    """JSON manifest recording exactly how a report was produced, and by which versions."""
+    from . import __version__
+    versions = {"nlslab": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
+    doc = {"format": 1, "argv": list(argv), "out": str(out_path), "versions": versions}
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", "manifest")
 
 
 def read_manifest(path):

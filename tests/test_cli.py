@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -72,6 +73,18 @@ def test_report_write_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_write_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "toy.csv"
+    write_report(_toy_report("direct"), path)
+    write_report(_toy_report("block"), path)
+    assert read_report(path)[2]["fit"] == "block"
+    # a write that cannot land leaves no temporary file behind
+    (tmp_path / "dir.csv").mkdir()
+    with pytest.raises(OSError, match="cannot write report"):
+        write_report(_toy_report("direct"), tmp_path / "dir.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv", "toy.csv"]
+
+
 def test_report_write_bad_path_raises_with_context(tmp_path):
     with pytest.raises(OSError, match="cannot write report"):
         write_report(_toy_report("direct"), tmp_path / "missing" / "x.csv")
@@ -84,6 +97,8 @@ def test_manifest_round_trip_and_validation(tmp_path):
     write_manifest(path, ["bench", "toy", "--out", "toy.csv"], "toy.csv")
     doc = read_manifest(path)
     assert doc["argv"][0] == "bench"
+    assert doc["versions"] == {"nlslab": nlslab.__version__, "numpy": np.__version__,
+                               "python": platform.python_version()}
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": 2}')
     with pytest.raises(ValueError):
@@ -203,8 +218,34 @@ def test_cli_rerun_detects_mismatch(tmp_path, monkeypatch, capsys):
                  "--out", "homog.csv"]) == 0
     target = tmp_path / "homog.csv"
     target.write_bytes(target.read_bytes() + b"# tampered\n")
-    assert main(["rerun", str(tmp_path / "homog.manifest.json")]) == 2
-    assert "MISMATCH" in capsys.readouterr().out
+    manifest = tmp_path / "homog.manifest.json"
+    assert main(["rerun", str(manifest)]) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out
+    versions = "nlslab %s, numpy %s, python %s" % (
+        nlslab.__version__, np.__version__, platform.python_version())
+    assert "stored with %s; re-run with %s\n" % (versions, versions) in out
+    # a manifest written before versions were recorded
+    doc = json.loads(manifest.read_text())
+    del doc["versions"]
+    manifest.write_text(json.dumps(doc))
+    assert main(["rerun", str(manifest)]) == 2
+    assert ("stored with nlslab unrecorded, numpy unrecorded, python unrecorded; "
+            "re-run with %s\n" % versions) in capsys.readouterr().out
+
+
+def test_cli_rerun_removes_its_files_when_the_rerun_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["params", "table", "--out", "p.csv"]) == 0
+    stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(path, argv, out):
+        raise OSError("cannot write manifest to %s: disk full" % path)
+
+    monkeypatch.setattr(nlslab.report, "write_manifest", fail)
+    assert main(["rerun", "p.manifest.json"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
 
 
 def test_cli_rerun_missing_manifest(capsys):
@@ -371,6 +412,29 @@ def test_refit_report_matches_the_reported_slope(tmp_path, args, columns, nrows,
     assert abs(refit_report(path)[0] - slope) < 1e-12
 
 
+# each dyadic bench over two blocks: (arguments, data rows, first column numeric)
+SHORT_SWEEPS = [
+    ("strichartz --nmin 4 --nmax 8 --trials 2", 8, True),
+    ("bernstein --nmin 4 --nmax 8 --trials 2", 8, True),
+    ("trilinear --nmin 2 --nmax 4 --trials 2", 2, True),
+    ("cubic-product --nmin 2 --nmax 4 --trials 2", 2, True),
+    ("sobolev-product --nmin 2 --nmax 4 --trials 2", 2, False),
+    ("sobolev-embedding --nmin 2 --nmax 4 --trials 2", 4, False),
+]
+
+
+@pytest.mark.parametrize("args, nrows, numeric", SHORT_SWEEPS,
+                         ids=[case[0].split()[0] for case in SHORT_SWEEPS])
+def test_two_block_sweep_writes_its_rows_with_a_nan_slope(tmp_path, args, nrows, numeric):
+    path = tmp_path / "r.csv"
+    assert main(["bench"] + args.split() + ["--out", str(path)]) == 0
+    _, rows, footer = read_report(path)
+    assert len(rows) == nrows
+    assert footer["slope"] == "nan"
+    if numeric:
+        assert math.isnan(refit_report(path)[0])
+
+
 _NUM = r"\d\.\d+e[-+]\d\d"
 
 # (argv, a full-match pattern per stdout line)
@@ -380,6 +444,9 @@ OTHER_SMOKE = [
     ("verify hierarchy --T 0.1", ["plane-wave residual " + _NUM,
                                   r"hierarchy k=1: %s -> %s  ratio \d\.\d{4}  \[ok\]"
                                   % (_NUM, _NUM)]),
+    ("verify hierarchy --d 2 --k 2 --T 0.2",
+     ["plane-wave residual " + _NUM,
+      r"hierarchy k=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify lemma25 --m 3", ["m=%d defect %s" % (m, _NUM) for m in (1, 2, 3)]),
     ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
                               r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),

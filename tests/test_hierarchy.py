@@ -21,6 +21,7 @@ from nlslab.hierarchy import (
     is_hermitian,
     tensor_power,
     trace_norm,
+    trace_norms,
 )
 from nlslab.solver import plane_wave_trajectory, simpson_weights, solve_nls
 from nlslab.torus import (
@@ -49,6 +50,26 @@ def test_tensor_power_trace_norm_is_squared_l2():
         assert abs(trace_norm(gamma) - l2_norm(phi) ** (2 * k)) < 1e-10 * l2_norm(phi) ** (2 * k)
 
 
+def _near_cancelling_list(k, seed):
+    # four terms minus copies whose first ket factor moved by 1e-9
+    # relative, plus three generic terms
+    rng = np.random.default_rng(seed)
+
+    def fields(n):
+        return tuple(_rand(GEOM, rng.integers(1 << 30)) for _ in range(n))
+
+    terms = []
+    for _ in range(4):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        kets, bras = fields(k), fields(k)
+        moved = SpectralField(GEOM, kets[0].coeffs * (1 + 1e-9 * rng.standard_normal(8)))
+        terms += [(c, kets, bras), (-c, (moved,) + kets[1:], bras)]
+    for _ in range(3):
+        terms.append((complex(rng.standard_normal(), rng.standard_normal()),
+                      fields(k), fields(k)))
+    return FactorizedDensityMatrix(k, terms)
+
+
 def test_trace_norm_matches_dense_oracle():
     # random multi-term operators against the dense-SVD oracle
     for seed in range(4):
@@ -62,16 +83,64 @@ def test_trace_norm_matches_dense_oracle():
         a = trace_norm(gamma)
         b = dense_trace_norm(gamma)
         assert abs(a - b) < 1e-8 * max(1.0, b)
+    # and under near cancellation between terms, to 1e-10 relative
+    for k in (1, 2, 3):
+        for seed in range(3):
+            gamma = _near_cancelling_list(k, 10 * k + seed)
+            a, b = trace_norm(gamma), dense_trace_norm(gamma)
+            assert abs(a - b) < 1e-10 * b, (k, seed, a, b)
 
 
-def test_trace_norm_gram_path_agrees_on_benign_data():
-    # force the Gram fallback with a tiny stable budget; without heavy
-    # cancellation both routes agree
-    phi = _rand(GEOM, 1)
-    gamma = tensor_power(phi, 2)
-    a = trace_norm(gamma)
-    b = trace_norm(gamma, stable_budget=0)
-    assert abs(a - b) < 1e-8 * a
+def _checkpoint_defects(k):
+    # two checkpoints of one trajectory, with the residual's weighting: many
+    # stored times make the columns numerically rank-deficient
+    traj = solve_nls(random_shell_field(GEOM32, 2, 2), 0.2, 0.004, coupling=-1.0)
+    return [apply_sobolev_op(hierarchy_defect_matrix(traj, k, m), -default_zeta(1))
+            for m in (25, 50)]
+
+
+def _term_mass(gamma):
+    return sum(abs(c) * np.prod([l2_norm(f) for f in kets + bras])
+               for c, kets, bras in gamma.terms)
+
+
+def test_truncated_and_untruncated_coordinates_agree(monkeypatch):
+    for k in (1, 2, 3):
+        gammas = _checkpoint_defects(k)
+        truncated = trace_norms(gammas)
+        rank = hierarchy_module._reduced_matrices(gammas)[0].shape[0]
+        monkeypatch.setattr(hierarchy_module, "TRUNCATION", 0.0)
+        full = trace_norms(gammas)
+        if k > 1:
+            assert hierarchy_module._reduced_matrices(gammas)[0].shape[0] > rank
+        monkeypatch.undo()
+        for a, b, g in zip(truncated, full, gammas):
+            assert abs(a - b) <= 1e-14 * _term_mass(g), (k, a, b)
+
+
+def test_trace_norms_share_one_basis_and_match_single_calls():
+    for k in (2, 3):
+        gammas = _checkpoint_defects(k)
+        together = trace_norms(gammas)
+        assert len(together) == 2
+        for a, g in zip(together, gammas):
+            assert abs(a - trace_norm(g)) <= 1e-14 * _term_mass(g)
+    assert trace_norms([FactorizedDensityMatrix(2, [])]) == [0.0]
+
+
+def test_order3_cancellation_past_the_old_size_switch():
+    # 300 terms on 32 points (300 * 32^3 > 2^23) minus the same operator
+    # with every first factor turned by a phase: trace norm 0
+    rng = np.random.default_rng(12)
+    terms, turned = [], []
+    for _ in range(300):
+        c = complex(rng.uniform(0.5, 1.5))
+        fs = tuple(_rand(GEOM32, rng.integers(1 << 30)) for _ in range(3))
+        terms.append((c, fs, fs))
+        turned_fs = (fs[0] * np.exp(1j * rng.uniform(0, 2 * np.pi)),) + fs[1:]
+        turned.append((-c, turned_fs, turned_fs))
+    gamma = FactorizedDensityMatrix(3, terms)
+    assert trace_norm(FactorizedDensityMatrix(3, terms + turned)) < 1e-12 * trace_norm(gamma)
 
 
 def test_trace_identity_weighted():
