@@ -36,7 +36,6 @@ from .solver import (
     plane_wave_trajectory,
     mass,
     duhamel_residual,
-    spacetime_l3_norm,
 )
 from .hierarchy import (
     FactorizedDensityMatrix,
@@ -70,7 +69,6 @@ from .bench import (
 )
 from .fl1d import (
     SpaceTimeField,
-    fl_norm,
     xsb_norm,
     gauge_transform,
     renormalized_nonlinearity,

@@ -21,14 +21,12 @@ from .torus import (
     _bracket,
     _freq_sq,
     besov_norm,
-    dyadic_blocks,
     l2_norm,
     lp_norm,
     product_field,
     random_shell_field,
     shell_extremizer_field,
     sobolev_norm,
-    unit_constant_field,
 )
 
 __all__ = [
@@ -43,11 +41,7 @@ __all__ = [
     "bench_cubic_product",
     "bench_sobolev_product",
     "bench_sobolev_embedding",
-    "DEFAULT_OFFSET",
 ]
-
-# offset used to realize strict inequalities / "0+" exponents numerically
-DEFAULT_OFFSET = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
@@ -125,19 +119,36 @@ def fit_exponent(rows):
     return fit_loglog(x, y)
 
 
-def _square_torus(d, M):
-    return TorusGeometry(d, (1.0,) * d, (M,) * d)
+def _sweep(name, params, columns, d, N_list, trials, seed, ratios, row, fitted=None):
+    """The loop of every dyadic bench: one report over the blocks N_list.
+
+    One generator, np.random.default_rng(seed), feeds the whole sweep.  For
+    each block N the square torus gets max(8, 4N) points per axis, and
+    ratios(geom, N, rng) yields (label, ratio) pairs.  The largest ratio of
+    each label, in the order the labels first appear, becomes the row
+    row(N, label, best).  The slope is fit_exponent of the per-block maximum
+    over the labels in fitted (all labels when None), so the footer says
+    fit = block.
+    """
+    rng = np.random.default_rng(seed)
+    rows, peaks = [], []
+    for N in N_list:
+        geom = TorusGeometry(d, (1.0,) * d, (max(8, 4 * N),) * d)
+        best = {}
+        for label, ratio in ratios(geom, N, rng):
+            if ratio > best.setdefault(label, 0.0):
+                best[label] = ratio
+        rows.extend(row(N, label, r) for label, r in best.items())
+        peaks.append((N, max(r for label, r in best.items() if fitted is None or label in fitted)))
+    slope, intercept, resid = fit_exponent(peaks)
+    return ExperimentReport(name, params, columns, rows, seed, trials, slope, intercept, resid,
+                            footer={"fit": "block"})
 
 
-def _grid_for_block(N, mult=4, floor=8):
-    """Per-axis grid size so that block N (shells [N, 2N)) fits the band."""
-    return max(floor, mult * max(N, 1))
-
-
-def _trial_fields(geom, N, trials, rng, extremizers=("ones", "single", "bell")):
+def _trial_fields(geom, N, trials, rng):
     for _ in range(trials):
         yield "random", random_shell_field(geom, N, rng)
-    for kind in extremizers:
+    for kind in ("ones", "single", "bell"):
         yield kind, shell_extremizer_field(geom, N, kind)
 
 
@@ -256,35 +267,17 @@ def bench_strichartz(d, p, N_list, trials, seed, nt_random=32):
         raise ValueError("full-grid evaluation supports d <= 3")
     if p <= 2 * (d + 2) / d:
         raise ValueError("p must exceed the critical exponent 2(d+2)/d")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for N in N_list:
-        geom = _square_torus(d, _grid_for_block(N))
-        best = {}
+
+    def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
             nt = nt_random if kind == "random" else min(8192, max(128, 2 * N * N))
-            lhs = _spacetime_lp_mean(f, p, nt) ** (1.0 / p)
-            ratio = lhs / l2_norm(f)
-            if ratio > best.get(kind, 0.0):
-                best[kind] = ratio
-        for kind, ratio in best.items():
-            rows.append((N, kind, ratio, 1.0, ratio))
-    maxrows = [(N, max(r[4] for r in rows if r[0] == N)) for N in N_list]
-    slope, intercept, resid = fit_exponent(maxrows)
-    ex_slope = fit_exponent([(r[0], r[4]) for r in rows if r[1] == "ones"])[0]
-    target = d / 2.0 - (d + 2.0) / p
-    rep = ExperimentReport(
-        "strichartz",
-        {"d": d, "p": p, "target_slope": target},
-        ["N", "data", "lhs", "rhs", "ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    rep.footer["extremizer_slope"] = ex_slope
+            yield kind, _spacetime_lp_mean(f, p, nt) ** (1.0 / p) / l2_norm(f)
+
+    rep = _sweep("strichartz", {"d": d, "p": p, "target_slope": d / 2.0 - (d + 2.0) / p},
+                 ["N", "data", "lhs", "rhs", "ratio"], d, N_list, trials, seed, ratios,
+                 lambda N, kind, r: (N, kind, r, 1.0, r))
+    rep.footer["extremizer_slope"] = fit_exponent(
+        [(r[0], r[4]) for r in rep.rows if r[1] == "ones"])[0]
     rep.footer["grid"] = "M=4N per axis"
     return rep
 
@@ -296,34 +289,16 @@ def bench_bernstein(p, q, N_list, trials, seed, d=2):
     """||P~_N f||_{L^q} / ||f||_{L^p} sweep; target slope d/p - d/q."""
     if p > q:
         raise ValueError("need p <= q")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for N in N_list:
-        geom = _square_torus(d, _grid_for_block(N))
-        best = {}
+
+    def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
-            lhs = lp_norm(f, q, pad=2)
-            rhs = lp_norm(f, p, pad=2)
-            ratio = lhs / rhs
-            if ratio > best.get(kind, 0.0):
-                best[kind] = ratio
-        for kind, ratio in best.items():
-            rows.append((N, kind, ratio, 1.0, ratio))
-    maxrows = [(N, max(r[4] for r in rows if r[0] == N)) for N in N_list]
-    slope, intercept, resid = fit_exponent(maxrows)
+            yield kind, lp_norm(f, q, pad=2) / lp_norm(f, p, pad=2)
+
     target = d / p - (0.0 if q == np.inf else d / q)
-    rep = ExperimentReport(
-        "bernstein",
-        {"d": d, "p": p, "q": "inf" if q == np.inf else q, "target_slope": target},
-        ["N", "data", "lhs", "rhs", "ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
+    return _sweep("bernstein",
+                  {"d": d, "p": p, "q": "inf" if q == np.inf else q, "target_slope": target},
+                  ["N", "data", "lhs", "rhs", "ratio"], d, N_list, trials, seed, ratios,
+                  lambda N, kind, r: (N, kind, r, 1.0, r))
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +361,17 @@ def _trilinear_ratio(phis, eta, zeta, T, nt):
     return lhs / rhs
 
 
-def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
-    """Boundedness sweep of the trilinear estimate over dyadic triples.
+def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0, nt=17):
+    """Boundedness sweep of the trilinear estimate over equal dyadic blocks:
+    all three factors live on the block N.
 
     The all-ones extremizer concentrates at t = 0 on a time scale ~1/N^2, so
     its row refines the quadrature grid with N; the base nt is used for the
     randomized rows, whose integrand has no comparable peak.
 
     Every product is evaluated exactly, on the pad-3 grid.  The `ones` field
-    is built once per distinct block, so equal blocks share one object,
-    which is transformed once per time sample, not three times.
+    is built once per block and passed as all three factors, so it is
+    transformed once per time sample, not three times.
     """
     pars = admissible_parameters(d)
     if not 0 <= eta <= float(pars.zeta0):
@@ -404,34 +380,18 @@ def bench_trilinear(d, eta, zeta, triples, trials, seed, T=1.0, nt=17):
         raise ValueError("need zeta > zeta0 = %s" % (pars.zeta0,))
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for Ns in triples:
-        M = _grid_for_block(max(Ns))
-        geom = _square_torus(d, M)
-        best = 0.0
-        for trial in range(trials):
-            phis = [random_shell_field(geom, N, rng) for N in Ns]
-            best = max(best, _trilinear_ratio(phis, eta, zeta, T, nt))
-        ones = {N: shell_extremizer_field(geom, N, "ones") for N in set(Ns)}
-        phis = [ones[N] for N in Ns]
-        nt_ex = max(nt, min(2048, 2 * max(Ns) ** 2) + 1)
-        best = max(best, _trilinear_ratio(phis, eta, zeta, T, nt_ex))
-        rows.append((Ns[0], Ns[1], Ns[2], best))
-    eqrows = [(max(r[:3]), r[3]) for r in rows]
-    slope, intercept, resid = fit_exponent(eqrows)
-    rep = ExperimentReport(
-        "trilinear",
-        {"d": d, "eta": eta, "zeta": zeta, "T": T},
-        ["N1", "N2", "N3", "max_ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
+
+    def ratios(geom, N, rng):
+        for _ in range(trials):
+            phis = [random_shell_field(geom, N, rng) for _ in range(3)]
+            yield "max", _trilinear_ratio(phis, eta, zeta, T, nt)
+        ones = shell_extremizer_field(geom, N, "ones")
+        nt_ex = max(nt, min(2048, 2 * N ** 2) + 1)
+        yield "max", _trilinear_ratio([ones] * 3, eta, zeta, T, nt_ex)
+
+    return _sweep("trilinear", {"d": d, "eta": eta, "zeta": zeta, "T": T},
+                  ["N1", "N2", "N3", "max_ratio"], d, N_list, trials, seed, ratios,
+                  lambda N, _, r: (N, N, N, r))
 
 
 # ---------------------------------------------------------------------------
@@ -441,124 +401,74 @@ def bench_cubic_product(d, alpha, N_list, trials, seed):
     """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep."""
     pars = admissible_parameters(d)
     if alpha <= float(pars.alpha0):
-        raise ValueError(
-            "alpha must exceed alpha0 = %s for d = %d" % (pars.alpha0, d)
-        )
+        raise ValueError("alpha must exceed alpha0 = %s for d = %d" % (pars.alpha0, d))
     zeta0 = float(pars.zeta0)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for N in N_list:
-        geom = _square_torus(d, _grid_for_block(N))
-        best = 0.0
-        for trial in range(trials):
-            fs = [random_shell_field(geom, N, rng) for _ in range(3)]
-            prod = product_field(*fs, pad=4)
-            ratio = besov_norm(prod, -zeta0) / math.prod(
-                sobolev_norm(f, alpha) for f in fs
-            )
-            best = max(best, ratio)
-        fs = [shell_extremizer_field(geom, N, "ones") for _ in range(3)]
+
+    def ratio(fs):
         prod = product_field(*fs, pad=4)
-        best = max(best, besov_norm(prod, -zeta0)
-                   / math.prod(sobolev_norm(f, alpha) for f in fs))
-        rows.append((N, best))
-    slope, intercept, resid = fit_exponent(rows)
-    rep = ExperimentReport(
-        "cubic-product",
-        {"d": d, "alpha": alpha, "zeta0": zeta0},
-        ["N", "max_ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
+        return besov_norm(prod, -zeta0) / math.prod(sobolev_norm(f, alpha) for f in fs)
+
+    def ratios(geom, N, rng):
+        for _ in range(trials):
+            yield "max", ratio([random_shell_field(geom, N, rng) for _ in range(3)])
+        yield "max", ratio([shell_extremizer_field(geom, N, "ones") for _ in range(3)])
+
+    return _sweep("cubic-product", {"d": d, "alpha": alpha, "zeta0": zeta0},
+                  ["N", "max_ratio"], d, N_list, trials, seed, ratios,
+                  lambda N, _, r: (N, r))
 
 
-def bench_sobolev_product(d, rho1, rho2, delta, N_pairs, trials, seed, rho_tri=None):
-    """Bilinear and trilinear Sobolev product sweeps.
+def bench_sobolev_product(d, rho1, rho2, delta, N_list, trials, seed, rho_tri=None):
+    """Bilinear and trilinear Sobolev product sweeps over equal dyadic
+    blocks: every factor lives on the block N.
 
     Bilinear rows: ||f1 f2||_{H^{rho1+rho2-d/2}} vs ||f1||_{H^{rho1+delta}}
     ||f2||_{H^{rho2+delta}} for rho_i in (0, d/2).  Trilinear rows (when
     rho_tri is given, in (d/4, d/2)): ||f1 f2 f3||_{H^{3 rho - d}} vs
-    prod ||f_i||_{H^{rho+delta}}.
+    prod ||f_i||_{H^{rho+delta}}.  The slope fits the bilinear rows.
     """
     if not (0 < rho1 < d / 2 and 0 < rho2 < d / 2):
         raise ValueError("need rho_i in (0, d/2)")
     if rho_tri is not None and not (d / 4 < rho_tri < d / 2):
         raise ValueError("trilinear rho must lie in (d/4, d/2)")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for N1, N2 in N_pairs:
-        geom = _square_torus(d, _grid_for_block(max(N1, N2)))
-        best = 0.0
-        for trial in range(trials):
-            f1 = random_shell_field(geom, N1, rng)
-            f2 = random_shell_field(geom, N2, rng)
+    if trials < 1:
+        raise ValueError("need trials >= 1: the product rows are random trials only")
+
+    def ratios(geom, N, rng):
+        for _ in range(trials):
+            f1 = random_shell_field(geom, N, rng)
+            f2 = random_shell_field(geom, N, rng)
             prod = product_field(f1, f2, pad=2)
-            ratio = sobolev_norm(prod, rho1 + rho2 - d / 2.0) / (
-                sobolev_norm(f1, rho1 + delta) * sobolev_norm(f2, rho2 + delta)
-            )
-            best = max(best, ratio)
-        rows.append(("bilinear", N1, N2, best))
+            yield "bilinear", sobolev_norm(prod, rho1 + rho2 - d / 2.0) / (
+                sobolev_norm(f1, rho1 + delta) * sobolev_norm(f2, rho2 + delta))
         if rho_tri is not None:
-            best3 = 0.0
-            for trial in range(trials):
-                fs = [random_shell_field(geom, N, rng) for N in (N1, N2, N2)]
+            for _ in range(trials):
+                fs = [random_shell_field(geom, N, rng) for _ in range(3)]
                 prod = product_field(*fs, pad=4)
-                ratio = sobolev_norm(prod, 3 * rho_tri - d) / math.prod(
-                    sobolev_norm(f, rho_tri + delta) for f in fs
-                )
-                best3 = max(best3, ratio)
-            rows.append(("trilinear", N1, N2, best3))
-    bi = [(max(r[1], r[2]), r[3]) for r in rows if r[0] == "bilinear"]
-    slope, intercept, resid = fit_exponent(bi)
-    rep = ExperimentReport(
-        "sobolev-product",
-        {"d": d, "rho1": rho1, "rho2": rho2, "delta": delta,
-         "rho_tri": rho_tri},
-        ["form", "N1", "N2", "max_ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
+                yield "trilinear", sobolev_norm(prod, 3 * rho_tri - d) / math.prod(
+                    sobolev_norm(f, rho_tri + delta) for f in fs)
+
+    return _sweep("sobolev-product",
+                  {"d": d, "rho1": rho1, "rho2": rho2, "delta": delta, "rho_tri": rho_tri},
+                  ["form", "N1", "N2", "max_ratio"], d, N_list, trials, seed, ratios,
+                  lambda N, form, r: (form, N, N, r), fitted={"bilinear"})
 
 
 def bench_sobolev_embedding(d, p, s, N_list, trials=16, seed=0):
-    """||f||_{L^p} vs ||f||_{H^s} sweep plus the dual rows with roles swapped
-    (||f||_{H^{-s}} vs ||f||_{L^{p'}})."""
+    """||f||_{L^p} vs ||f||_{H^s} sweep (part a, which the slope fits) plus
+    the dual rows with roles swapped (part b, ||f||_{H^{-s}} vs
+    ||f||_{L^{p'}})."""
     if p < 2:
         raise ValueError("need p >= 2")
     if s <= d / 2 - d / p:
         raise ValueError("endpoint rejected: need s > d/2 - d/p = %g" % (d / 2 - d / p))
     pprime = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for N in N_list:
-        geom = _square_torus(d, _grid_for_block(N))
-        best_a = best_b = 0.0
-        for kind, f in _trial_fields(geom, N, trials, rng):
-            best_a = max(best_a, lp_norm(f, p, pad=2) / sobolev_norm(f, s))
-            best_b = max(best_b, sobolev_norm(f, -s) / lp_norm(f, pprime, pad=2))
-        rows.append(("a", N, best_a))
-        rows.append(("b", N, best_b))
-    arows = [(N, r) for part, N, r in rows if part == "a"]
-    slope, intercept, resid = fit_exponent(arows)
-    rep = ExperimentReport(
-        "sobolev-embedding",
-        {"d": d, "p": p, "s": s},
-        ["part", "N", "max_ratio"],
-        rows,
-        seed,
-        trials,
-        slope,
-        intercept,
-        resid,
-    )
-    return rep
+
+    def ratios(geom, N, rng):
+        for _, f in _trial_fields(geom, N, trials, rng):
+            yield "a", lp_norm(f, p, pad=2) / sobolev_norm(f, s)
+            yield "b", sobolev_norm(f, -s) / lp_norm(f, pprime, pad=2)
+
+    return _sweep("sobolev-embedding", {"d": d, "p": p, "s": s}, ["part", "N", "max_ratio"],
+                  d, N_list, trials, seed, ratios, lambda N, part, r: (part, N, r),
+                  fitted={"a"})

@@ -1,9 +1,8 @@
 """Command-line front door.
 
-Each subcommand is one entry of COMMANDS: its options, the library
-operation it runs and, for a report, the fit kind.  The parser, the
-dispatch and the command list of `nlslab --help` are generated from that
-table.
+Each subcommand is one entry of COMMANDS: its options and the library
+operation it runs.  The parser, the dispatch and the command list of
+`nlslab --help` are generated from that table.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class Command(NamedTuple):
     target: str  # the library operation it runs, as --help lists it
     options: tuple
     run: Callable  # run(args) -> an ExperimentReport or text lines to emit, or an exit code
-    fit: str | None = None  # a report's fit kind: "block" (x = <N>) or "direct"
 
 
 def _out_path(path):
@@ -79,19 +77,18 @@ def _manifest_path(out):
     return (out[:-4] if out.endswith(".csv") else out) + ".manifest.json"
 
 
-def _emit(result, fit, argv, out):
+def _emit(result, argv, out):
     """Print a result, or write it to --out with the manifest that `rerun`
-    replays.  The result is an ExperimentReport when fit is set, a list of
-    text lines otherwise."""
+    replays.  The result is an ExperimentReport or a list of text lines."""
     out = _out_path(out)
+    report = isinstance(result, _bench.ExperimentReport)
     if out is None:
-        if fit is not None:
+        if report:
             rows = [",".join(_report.format_value(v) for v in row) for row in result.rows]
             result = rows + ["# slope = %r" % result.slope]
         print("\n".join(result))
         return
-    if fit is not None:
-        result.footer.setdefault("fit", fit)
+    if report:
         _report.write_report(result, out)
     else:
         _report.write_atomic(out, "\n".join(result) + "\n")
@@ -103,7 +100,14 @@ def _emit(result, fit, argv, out):
 # what the commands run
 
 def _blocks(args):
-    """Dyadic blocks nmin, 2 nmin, ... up to nmax."""
+    """Dyadic blocks nmin, 2 nmin, ... up to nmax, once the sweep options
+    are checked."""
+    if args.nmin < 1:
+        raise UsageError("--nmin must be >= 1, not %d" % args.nmin)
+    if args.nmax < args.nmin:
+        raise UsageError("--nmax %d is below --nmin %d" % (args.nmax, args.nmin))
+    if args.trials < 0:
+        raise UsageError("--trials must be >= 0, not %d" % args.trials)
     out = []
     n = args.nmin
     while n <= args.nmax:
@@ -116,8 +120,7 @@ def _trilinear(args):
     zeta = args.zeta
     if zeta is None:
         zeta = float(_bench.admissible_parameters(args.d).zeta0) + 0.05
-    triples = [(N, N, N) for N in _blocks(args)]
-    return _bench.bench_trilinear(args.d, args.eta, zeta, triples,
+    return _bench.bench_trilinear(args.d, args.eta, zeta, _blocks(args),
                                   args.trials, args.seed, T=args.T)
 
 
@@ -313,24 +316,22 @@ COMMANDS = (
     Command("bench strichartz", "free-evolution space-time bound per block",
             "bench.bench_strichartz",
             (Opt("--p", float, 6.0, "space-time Lebesgue exponent"),) + _sweep(2, 4, 64, 50),
-            lambda a: _bench.bench_strichartz(a.d, a.p, _blocks(a), a.trials, a.seed),
-            "block"),
+            lambda a: _bench.bench_strichartz(a.d, a.p, _blocks(a), a.trials, a.seed)),
     Command("bench bernstein", "smoothed-block L^p -> L^q bound", "bench.bench_bernstein",
             (Opt("--p", float, 2.0, "exponent of the data norm"),
              Opt("--q", float, math.inf, "exponent of the block norm")) + _sweep(2, 4, 32, 16),
-            lambda a: _bench.bench_bernstein(a.p, a.q, _blocks(a), a.trials, a.seed, d=a.d),
-            "block"),
+            lambda a: _bench.bench_bernstein(a.p, a.q, _blocks(a), a.trials, a.seed, d=a.d)),
     Command("bench trilinear", "trilinear free-evolution bound, equal blocks",
             "bench.bench_trilinear",
             (Opt("--eta", float, 0.25, "smoothing exponent"),
              Opt("--zeta", float, None, "dual exponent; zeta0 + 0.05 when unset"),
              Opt("--T", float, 1.0, "length of the time interval")) + _sweep(2, 2, 32, 6),
-            _trilinear, "block"),
+            _trilinear),
     Command("bench cubic-product", "triple product in the dual Besov norm",
             "bench.bench_cubic_product",
             (Opt("--alpha", float, None, "Sobolev exponent; alpha0 + 0.1 when unset"),)
             + _sweep(2, 2, 16, 6),
-            _cubic_product, "block"),
+            _cubic_product),
     Command("bench sobolev-product", "bilinear/trilinear Sobolev products",
             "bench.bench_sobolev_product",
             (Opt("--rho1", float, 0.6, "exponent of the first factor"),
@@ -338,28 +339,23 @@ COMMANDS = (
              Opt("--delta", float, 0.1, "loss in the exponents"),
              Opt("--rho-tri", float, None, "exponent of the trilinear rows; none when unset"))
             + _sweep(2, 2, 16, 6),
-            lambda a: _bench.bench_sobolev_product(a.d, a.rho1, a.rho2, a.delta,
-                                                   [(N, N) for N in _blocks(a)], a.trials,
-                                                   a.seed, rho_tri=a.rho_tri),
-            "block"),
+            lambda a: _bench.bench_sobolev_product(a.d, a.rho1, a.rho2, a.delta, _blocks(a),
+                                                   a.trials, a.seed, rho_tri=a.rho_tri)),
     Command("bench sobolev-embedding", "L^p vs H^s with the dual rows",
             "bench.bench_sobolev_embedding",
             (Opt("--p", float, 4.0, "Lebesgue exponent"),
              Opt("--s", float, 0.6, "Sobolev exponent")) + _sweep(2, 2, 16, 16),
-            lambda a: _bench.bench_sobolev_embedding(a.d, a.p, a.s, _blocks(a), a.trials, a.seed),
-            "block"),
+            lambda a: _bench.bench_sobolev_embedding(a.d, a.p, a.s, _blocks(a), a.trials, a.seed)),
     Command("bench xsb-homogeneous", "cutoff free wave in the modulation norm vs T",
             "fl1d.bench_linear_homogeneous", _modulation(0.25),
             lambda a: _fl.bench_linear_homogeneous(a.r, a.b, _halved_times(a),
-                                                   mode=a.mode, s=a.s),
-            "direct"),
+                                                   mode=a.mode, s=a.s)),
     Command("bench xsb-inhomogeneous", "Duhamel map gain in the modulation norm vs T",
             "fl1d.bench_linear_inhomogeneous",
             (Opt("--beta", float, 0.0, "modulation exponent of the forcing norm"),)
             + _modulation(0.6),
             lambda a: _fl.bench_linear_inhomogeneous(a.r, a.b, a.beta, _halved_times(a),
-                                                     mode=a.mode, s=a.s),
-            "direct"),
+                                                     mode=a.mode, s=a.s)),
     Command("verify duhamel", "mild-equation residual halving for the solver",
             "solver.duhamel_residual (halving check)",
             (Opt("--d", int, 2, "torus dimension"),
@@ -425,7 +421,7 @@ def _run(args, argv):
     result = args.command.run(args)
     if isinstance(result, int):
         return result
-    _emit(result, args.command.fit, argv, args.out)
+    _emit(result, argv, args.out)
     return 0
 
 

@@ -1,12 +1,11 @@
-"""Fourier-Lebesgue and dispersive space-time norms on the circle, the
-mass gauge with its renormalized nonlinearity, and small-time scaling
-benches for the linear estimates behind them.
+"""Fourier-Lebesgue space-time norms on the circle, the mass gauge with
+its renormalized nonlinearity, and small-time scaling benches for the
+linear estimates behind them.
 
-Spatial side: FL^r data have coefficients in ell^{r'} after the unitary
-normalization sqrt(2 pi) c_n, so r = 2 recovers L^2 exactly.  Space-time
-side: X^{s,b}_r norms weight the discrete space-time Fourier transform by
-<n>^s <tau + n^2>^b, so free Schrodinger waves sit where the parabolic
-weight is small.
+X^{s,b}_r norms take the ell^{r'} norm of the discrete space-time Fourier
+transform weighted by <n>^s <tau + n^2>^b, so free Schrodinger waves sit
+where the parabolic weight is small; r = 2 with s = b = 0 recovers
+L^2_t L^2_x.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .torus import (
     SpectralField,
     TorusGeometry,
     cubic_field,
-    lp_norm,
     mode_field,
     mollifier_ramp,
     _freq_sq,
@@ -29,7 +27,6 @@ from .torus import (
 
 __all__ = [
     "SpaceTimeField",
-    "fl_norm",
     "xsb_norm",
     "time_cutoff",
     "free_wave",
@@ -37,7 +34,6 @@ __all__ = [
     "gauge_transform",
     "renormalized_nonlinearity",
     "renormalized_duhamel_residual",
-    "hausdorff_young_check",
     "bench_linear_homogeneous",
     "bench_linear_inhomogeneous",
     "DEFAULT_WINDOW",
@@ -52,26 +48,6 @@ def _conjugate_exponent(r):
     if not 1.0 < r <= 2.0:
         raise ValueError("r must lie in (1, 2]")
     return r / (r - 1.0)
-
-
-def fl_norm(f, r):
-    """ell^{r'} norm of the unitary coefficients sqrt(vol) c_n; r = 2 is L^2."""
-    rp = _conjugate_exponent(r)
-    c = math.sqrt(f.geometry.volume) * np.abs(f.coeffs.ravel())
-    return float(np.sum(c ** rp) ** (1.0 / rp))
-
-
-def hausdorff_young_check(f, r):
-    """(ratio, bound) for ||f_hat||_{ell^{r'}} <= (2 pi)^{-(1/r - 1/2)} ||f||_{L^r}.
-
-    Both norms are quadrature norms on the same grid; the bound constant is
-    exactly 1 for r = 2 and below 1 for r < 2 in this normalization.
-    """
-    denom = lp_norm(f, r, pad=2)
-    if denom == 0.0:
-        raise ValueError("zero field")
-    bound = (2.0 * math.pi) ** -(1.0 / r - 0.5)
-    return fl_norm(f, r) / denom, bound
 
 
 class SpaceTimeField:
@@ -253,7 +229,7 @@ def bench_linear_homogeneous(
         slope=slope,
         intercept=intercept,
         residual=resid,
-        footer={"target_slope": 1.0 / r - b},
+        footer={"target_slope": 1.0 / r - b, "fit": "direct"},
     )
 
 
@@ -316,5 +292,5 @@ def bench_linear_inhomogeneous(
         slope=slope,
         intercept=intercept,
         residual=resid,
-        footer={"target_slope": 1.0 + beta - b},
+        footer={"target_slope": 1.0 + beta - b, "fit": "direct"},
     )

@@ -45,13 +45,16 @@ def format_value(v):
     return str(v)
 
 
-def write_atomic(path, text, what="report"):
-    """Write text to path through a temporary file and os.replace, so that
-    path holds the old file or the whole new one, never a part."""
+def write_atomic(path, data, what="report"):
+    """Write text (as UTF-8) or bytes to path through a temporary file and
+    os.replace, so that path holds the old file or the whole new one, never
+    a part."""
+    if isinstance(data, str):
+        data = data.encode()
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError("cannot write %s to %s: %s" % (what, path, exc)) from exc
@@ -154,20 +157,17 @@ _PAYLOAD_DTYPES = {1: "<c8", 2: "<c16"}
 
 
 def write_trajectory(traj, path):
+    """Write traj in format version 2, whole or not at all (write_atomic)."""
     geom = traj.geometry
-    try:
-        with open(path, "wb") as fh:
-            fh.write(TRAJECTORY_MAGIC)
-            fh.write(struct.pack("<II", 2, geom.d))
-            fh.write(np.asarray(geom.thetas, dtype="<f8").tobytes())
-            fh.write(np.asarray(geom.grid, dtype="<u4").tobytes())
-            fh.write(struct.pack("<d", traj.coupling))
-            fh.write(struct.pack("<Q", len(traj.times)))
-            fh.write(np.asarray(traj.times, dtype="<f8").tobytes())
-            for st in traj.states:
-                fh.write(np.ascontiguousarray(st.coeffs, dtype="<c16").tobytes())
-    except OSError as exc:
-        raise OSError("cannot write trajectory to %s: %s" % (path, exc)) from exc
+    data = bytearray(TRAJECTORY_MAGIC)
+    data += struct.pack("<II", 2, geom.d)
+    data += np.asarray(geom.thetas, dtype="<f8").tobytes()
+    data += np.asarray(geom.grid, dtype="<u4").tobytes()
+    data += struct.pack("<dQ", traj.coupling, len(traj.times))
+    data += np.asarray(traj.times, dtype="<f8").tobytes()
+    for st in traj.states:
+        data += np.ascontiguousarray(st.coeffs, dtype="<c16").tobytes()
+    write_atomic(path, data, "trajectory")
 
 
 def _check_length(path, data, size, exact=False):

@@ -27,7 +27,6 @@ from .torus import (
     field_samples,
     free_evolve,
     l2_norm,
-    lp_norm,
     mode_field,
     sobolev_norm,
     _freq_sq,
@@ -43,7 +42,6 @@ __all__ = [
     "duhamel_residual",
     "duhamel_defect_profile",
     "mild_defect_profile",
-    "spacetime_l3_norm",
     "simpson_prefix",
     "simpson_weights",
 ]
@@ -197,13 +195,3 @@ def duhamel_defect_profile(traj, beta=None):
 def duhamel_residual(traj, beta=None):
     """Max over stored times of the mild-equation defect in H^beta."""
     return float(duhamel_defect_profile(traj, beta).max())
-
-
-def spacetime_l3_norm(traj, pad=2):
-    """L^3 norm over [-T, T] x torus, the stored half extended symmetrically
-    in time (|phi| is preserved by the time reversal)."""
-    vals = np.array([lp_norm(st, 3.0, pad=pad) ** 3 for st in traj.states])
-    if len(traj.times) < 2:
-        return 0.0
-    cube = 2.0 * float(np.trapezoid(vals, traj.times))
-    return cube ** (1.0 / 3.0)

@@ -30,7 +30,6 @@ __all__ = [
     "inner_product",
     "lp_norm",
     "shell_indices",
-    "max_shell",
     "dyadic_blocks",
     "shell_project",
     "dyadic_project",
@@ -39,10 +38,8 @@ __all__ = [
     "dyadic_bump",
     "zero_block_bump",
     "sobolev_norm",
-    "sobolev_block_norm",
     "besov_norm",
     "block_l2_profile",
-    "besov_sandwich_constant",
     "free_evolve",
     "conjugate",
     "product_field",
@@ -177,10 +174,6 @@ def shell_indices(geom):
     return idx
 
 
-def max_shell(geom):
-    return int(shell_indices(geom).max())
-
-
 @functools.lru_cache(maxsize=256)
 def _block_exponents(geom):
     """Per-mode dyadic block label: -1 for the zero mode, else j with
@@ -295,23 +288,10 @@ def _bracket(x):
     return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 
-def sobolev_block_norm(f, s):
-    """Dyadic block form (sum_N <N>^{2s} ||P_N f||^2)^{1/2}."""
-    Ns, norms = block_l2_profile(f)
-    return float(np.sqrt(np.sum(_bracket(Ns) ** (2.0 * s) * norms ** 2)))
-
-
 def besov_norm(f, s):
     """B^s_{2,1} norm: sum_N <N>^s ||P_N f||_{L^2}."""
     Ns, norms = block_l2_profile(f)
     return float(np.sum(_bracket(Ns) ** s * norms))
-
-
-def besov_sandwich_constant(geom, delta):
-    """C_delta = (sum_N <N>^{-2 delta})^{1/2} over the blocks of the grid."""
-    Ns = np.array(dyadic_blocks(geom), dtype=float)
-    return float(np.sqrt(np.sum(_bracket(Ns) ** (-2.0 * delta))))
-
 
 # ---------------------------------------------------------------------------
 # projections

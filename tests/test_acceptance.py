@@ -198,8 +198,7 @@ def test_criterion_08_bernstein_slope():
 def test_criterion_09_trilinear_boundedness():
     t0 = time.time()
     zeta = float(admissible_parameters(2).zeta0) + 0.05
-    triples = [(N, N, N) for N in (2, 4, 8, 16, 32)]
-    rep = bench_trilinear(2, 0.25, zeta, triples, trials=6, seed=0)
+    rep = bench_trilinear(2, 0.25, zeta, (2, 4, 8, 16, 32), trials=6, seed=0)
     by_n = {r[0]: r[3] for r in rep.rows}
     ok = by_n[32] <= 2.0 * by_n[8]
     _report(9, "trilinear boundedness, equal blocks 2..32", ok,

@@ -192,11 +192,11 @@ def test_trilinear_identical_factors_take_one_transform(monkeypatch):
 
 def test_bench_trilinear_validation():
     with pytest.raises(ValueError):
-        bench_trilinear(2, 0.5, 0.3, [(2, 2, 2)], 1, 0)  # eta > zeta0
+        bench_trilinear(2, 0.5, 0.3, [2], 1, 0)  # eta > zeta0
     with pytest.raises(ValueError):
-        bench_trilinear(2, 0.25, 0.2, [(2, 2, 2)], 1, 0)  # zeta <= zeta0
+        bench_trilinear(2, 0.25, 0.2, [2], 1, 0)  # zeta <= zeta0
     with pytest.raises(ValueError):
-        bench_trilinear(4, 0.25, 1.1, [(2, 2, 2)], 1, 0)  # d must be 2 or 3
+        bench_trilinear(4, 0.25, 1.1, [2], 1, 0)  # d must be 2 or 3
 
 
 def test_bench_trilinear_small_run(monkeypatch):
@@ -208,11 +208,11 @@ def test_bench_trilinear_small_run(monkeypatch):
         return real_ratio(phis, *args)
 
     monkeypatch.setattr(bench_module, "_trilinear_ratio", spy)
-    rep = bench_trilinear(2, 0.25, 0.3, [(2, 2, 2), (4, 4, 4)], trials=1, seed=0, nt=5)
-    assert len(rep.rows) == 2
+    rep = bench_trilinear(2, 0.25, 0.3, [2, 4], trials=1, seed=0, nt=5)
+    assert [r[:3] for r in rep.rows] == [(2, 2, 2), (4, 4, 4)]
     assert all(r[3] > 0 for r in rep.rows)
     assert math.isnan(rep.slope)  # only two levels, no fit
-    # per triple: one random call, then the `ones` row built once per block
+    # per block: one random call, then the `ones` field built once
     for rand, ones in (factors[0:2], factors[2:4]):
         assert len({id(f) for f in rand}) == 3
         assert len({id(f) for f in ones}) == 1
@@ -226,24 +226,29 @@ def test_bench_cubic_product_small_run():
 
 
 def test_bench_sobolev_product_small_run():
-    rep = bench_sobolev_product(
-        2, 0.6, 0.6, 0.05, [(2, 2), (4, 4), (8, 8)], trials=2, seed=0, rho_tri=0.8
-    )
-    forms = {r[0] for r in rep.rows}
-    assert forms == {"bilinear", "trilinear"}
+    rep = bench_sobolev_product(2, 0.6, 0.6, 0.05, (2, 4, 8), trials=2, seed=0, rho_tri=0.8)
+    assert [r[:3] for r in rep.rows] == [(form, N, N) for N in (2, 4, 8)
+                                         for form in ("bilinear", "trilinear")]
     assert math.isfinite(rep.slope)
+    # the slope fits the bilinear rows alone
+    bilinear = [(r[1], r[3]) for r in rep.rows if r[0] == "bilinear"]
+    assert rep.slope == fit_exponent(bilinear)[0]
     with pytest.raises(ValueError):
-        bench_sobolev_product(2, 1.5, 0.6, 0.05, [(2, 2)], 1, 0)
+        bench_sobolev_product(2, 1.5, 0.6, 0.05, [2], 1, 0)
     with pytest.raises(ValueError):
-        bench_sobolev_product(2, 0.6, 0.6, 0.05, [(2, 2)], 1, 0, rho_tri=0.4)
+        bench_sobolev_product(2, 0.6, 0.6, 0.05, [2], 1, 0, rho_tri=0.4)
+    # no extremizer rows: without trials there is nothing to measure
+    with pytest.raises(ValueError, match="trials"):
+        bench_sobolev_product(2, 0.6, 0.6, 0.05, [2], 0, 0)
 
 
 def test_bench_sobolev_embedding_small_run():
     rep = bench_sobolev_embedding(2, 4.0, 0.6, (2, 4, 8), trials=4, seed=0)
-    parts = {r[0] for r in rep.rows}
-    assert parts == {"a", "b"}
+    assert [r[:2] for r in rep.rows] == [(part, N) for N in (2, 4, 8) for part in "ab"]
     # above the endpoint the primal ratios stay bounded: small fitted slope
     assert rep.slope < 0.3
+    # the slope fits the primal rows alone
+    assert rep.slope == fit_exponent([(r[1], r[2]) for r in rep.rows if r[0] == "a"])[0]
     with pytest.raises(ValueError):
         bench_sobolev_embedding(2, 4.0, 0.5, (2, 4, 8))  # endpoint s = d/2 - d/p
     with pytest.raises(ValueError):

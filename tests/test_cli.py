@@ -121,6 +121,32 @@ def test_trajectory_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_trajectory_write_replaces_the_file_whole(tmp_path, monkeypatch):
+    geom = TorusGeometry(1, (1.0,), (16,))
+    old = solve_nls(random_shell_field(geom, 2, 0), 0.05, 0.01)
+    new = solve_nls(random_shell_field(geom, 2, 1), 0.1, 0.01)
+    path = tmp_path / "t.bin"
+    write_trajectory(old, path)
+    stored = path.read_bytes()
+
+    def disk_full(src, dst):
+        raise OSError("disk full")
+
+    # a write that fails before it lands leaves the old file whole
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError, match="cannot write trajectory to .*disk full"):
+        write_trajectory(new, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == stored
+    # and no temporary file behind
+    (tmp_path / "dir.bin").mkdir()
+    with pytest.raises(OSError, match="cannot write trajectory"):
+        write_trajectory(new, tmp_path / "dir.bin")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.bin", "t.bin"]
+    write_trajectory(new, path)
+    assert np.array_equal(read_trajectory(path).times, new.times)
+
+
 def test_trajectory_reads_version_1_files(tmp_path):
     # format version 1 stores the coefficient blocks as complex64
     rng = np.random.default_rng(5)
@@ -396,7 +422,10 @@ def test_cli_bench_smoke(tmp_path, monkeypatch, capsys, args, columns, nrows, nu
     assert len(rows) == nrows
     assert footer["name"] == cmd
     assert footer["fit"] == ("direct" if cmd.startswith("xsb") else "block")
-    assert read_manifest(tmp_path / "r.manifest.json")["argv"] == argv + ["--out", "r.csv"]
+    manifest = tmp_path / "r.manifest.json"
+    assert read_manifest(manifest)["argv"] == argv + ["--out", "r.csv"]
+    assert main(["rerun", str(manifest)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "byte-identical: %s" % (tmp_path / "r.csv")
 
 
 @pytest.mark.parametrize("args, columns, nrows, numeric", BENCH_SMOKE,
@@ -476,6 +505,20 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     back = read_trajectory(tmp_path / "t.bin")
     assert back.geometry == TorusGeometry(1, (1.0,), (32,))
     assert len(back.times) == 26
+
+
+@pytest.mark.parametrize("args, err", [
+    ("cubic-product --nmin 0", "usage error: --nmin must be >= 1, not 0"),
+    ("cubic-product --nmin 16 --nmax 8", "usage error: --nmax 8 is below --nmin 16"),
+    ("strichartz --trials -1", "usage error: --trials must be >= 0, not -1"),
+    ("sobolev-product --trials 0",
+     "error: need trials >= 1: the product rows are random trials only"),
+], ids=["nmin", "nmax", "trials", "sobolev-product-trials"])
+def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench"] + args.split() + ["--out", "r.csv"]) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_required_option_is_a_usage_error(capsys):

@@ -11,10 +11,8 @@ from nlslab.fl1d import (
     bench_linear_homogeneous,
     bench_linear_inhomogeneous,
     duhamel_wave,
-    fl_norm,
     free_wave,
     gauge_transform,
-    hausdorff_young_check,
     mean_density,
     renormalized_duhamel_residual,
     renormalized_nonlinearity,
@@ -25,41 +23,12 @@ from nlslab.fl1d import (
 from nlslab.solver import solve_nls
 from nlslab.torus import (
     TorusGeometry,
-    l2_norm,
     mode_field,
     random_shell_field,
     _freq_sq,
 )
 
 GEOM = TorusGeometry(1, (1.0,), (64,))
-
-
-def test_fl_norm_r2_is_l2():
-    f = random_shell_field(GEOM, 4, 0)
-    assert abs(fl_norm(f, 2.0) - l2_norm(f)) < 1e-12
-
-
-def test_fl_norm_exponent_domain():
-    f = random_shell_field(GEOM, 2, 0)
-    for bad in (1.0, 3.0, 0.5):
-        with pytest.raises(ValueError):
-            fl_norm(f, bad)
-
-
-def test_hausdorff_young_r2_is_equality():
-    f = random_shell_field(GEOM, 4, 1)
-    ratio, bound = hausdorff_young_check(f, 2.0)
-    assert abs(bound - 1.0) < 1e-15
-    assert abs(ratio - 1.0) < 1e-10
-
-
-def test_hausdorff_young_bound_holds():
-    rng = np.random.default_rng(2)
-    for r in (1.5, 1.25):
-        for seed in range(5):
-            f = random_shell_field(GEOM, 4, rng)
-            ratio, bound = hausdorff_young_check(f, r)
-            assert ratio <= bound * (1.0 + 1e-10), (r, ratio, bound)
 
 
 def test_space_time_field_validation():

@@ -18,7 +18,6 @@ from nlslab.solver import (
     simpson_prefix,
     simpson_weights,
     solve_nls,
-    spacetime_l3_norm,
     strang_step,
 )
 from nlslab.torus import (
@@ -27,7 +26,6 @@ from nlslab.torus import (
     _freq_sq,
     cubic_field,
     l2_norm,
-    lp_norm,
     mode_field,
     random_shell_field,
     sobolev_norm,
@@ -115,7 +113,6 @@ def test_zero_initial_data_stays_zero():
     traj = solve_nls(zero_field(GEOM1), 0.1, 0.01)
     assert all(np.abs(st.coeffs).max() == 0.0 for st in traj.states)
     assert duhamel_residual(traj) == 0.0
-    assert spacetime_l3_norm(traj) == 0.0
 
 
 def test_strang_step_reversible_and_mass_conserving():
@@ -190,23 +187,6 @@ def test_residual_needs_three_points():
     traj = solve_nls(phi0, 0.01, 0.01)
     with pytest.raises(ValueError):
         duhamel_residual(traj)
-
-
-def test_spacetime_l3_constant_modulus():
-    # |phi| = 1 on the circle: integral over [-1,1] x T of 1 is 2 * 2 pi
-    geom = GEOM1
-    one = mode_field(geom, (0,))
-    times = np.linspace(0.0, 1.0, 11)
-    states = [one.copy() for _ in times]
-    traj = Trajectory(geom, times, states)
-    assert abs(spacetime_l3_norm(traj) - (2.0 * 2.0 * math.pi) ** (1.0 / 3.0)) < 1e-10
-
-
-def test_spacetime_l3_hoelder_bound():
-    phi0 = random_shell_field(GEOM2, 2, 6)
-    traj = solve_nls(phi0, 0.2, 0.01)
-    bound = (2.0 * 0.2) ** (1.0 / 3.0) * max(lp_norm(st, 3.0, pad=2) for st in traj.states)
-    assert spacetime_l3_norm(traj) <= bound + 1e-10
 
 
 def test_dt_must_divide_T():
