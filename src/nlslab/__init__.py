@@ -53,7 +53,6 @@ from .combinatorics import (
     enumerate_collision_maps,
     collision_map_count,
     verify_product_identity,
-    evaluate_duhamel_iterate,
     expansion_consistency,
 )
 from .bench import (

@@ -155,91 +155,72 @@ def _trial_fields(geom, N, trials, rng):
 # ---------------------------------------------------------------------------
 # space-time sampling of free evolutions
 
-class _PaddedInverseFFT:
-    """Inverse FFT of a stack of fields from grid M onto the padded grid P.
+def _free_samples(fields, pad, t0, dt, nt, chunk, dtype):
+    """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) for every f in
+    fields, on the grid padded by pad, in blocks of at most chunk times.
 
-    Callers write each field's modes into `head` (shape (depth,) + M),
-    shifted to indices 0..M-1 as by fftshift.  The field then comes out
-    multiplied by the unimodular phase e^{i xi(M/2) . x}, and the zero
-    padding sits at the end of each axis: the transform runs one axis at a
-    time, and each axis skips the rows that are still all zero.  Like
-    np.fft.ifftn, it divides by the padded grid size.
+    A block has shape (n * len(fields),) + P, time-major: row j * len(fields)
+    + i is field i at the block's j-th time.  It is a view of one reused
+    buffer, valid until the next block.  The phases are a table for one
+    chunk, built by recurrence, and each chunk advances the coefficients by
+    exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled by
+    the padded grid size, so the samples come out as u e^{i xi(M/2) . x} with
+    the padding at the end of each axis; the inverse FFT runs one axis at a
+    time and skips the rows that are still all zero.
     """
-
-    def __init__(self, M, P, depth, dtype):
-        d = len(M)
-        # bufs[a - 1] is the input of the transform along axis a: P wide
-        # along axes 1..a, M wide along the later ones.  Only its head, the
-        # first M entries along axis a, is ever written; the zero tail is
-        # the padding.
-        self._bufs = [np.zeros((depth,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
-        self._heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)]
-                       for a, b in enumerate(self._bufs, 1)]
-        self.head = self._heads[0]
-        self.samples = np.empty((depth,) + P, dtype=dtype)
-
-    def __call__(self, n):
-        """Transform the first n fields of `head`; returns their samples."""
-        d = len(self._bufs)
+    geom = fields[0].geometry
+    M, P = geom.grid, geom.padded(pad).grid
+    d, k, c = geom.d, len(fields), min(chunk, nt)
+    lam = np.fft.fftshift(_freq_sq(geom))
+    coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in fields]) * math.prod(P)
+    table = np.empty((c, 1) + M, dtype=np.complex128)
+    table[0] = np.exp(-1j * t0 * lam)
+    step = np.exp(-1j * dt * lam)
+    for j in range(1, c):
+        np.multiply(table[j - 1], step, out=table[j])
+    advance = np.exp(-1j * (c * dt) * lam)
+    # bufs[a - 1] is the input of the transform along axis a: P wide along
+    # axes 1..a, M wide along the later ones.  Only its head, the first M
+    # entries along axis a, is ever written; the zero tail is the padding.
+    bufs = [np.zeros((c * k,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
+    heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
+    modes = bufs[0].reshape((c, k) + bufs[0].shape[1:])[:, :, :M[0]]
+    samples = np.empty((c * k,) + P, dtype=dtype)
+    for lo in range(0, nt, c):
+        n = min(c, nt - lo)
+        np.multiply(table[:n], coeffs, out=modes[:n])
         for a in range(1, d + 1):
-            dst = self._heads[a][:n] if a < d else self.samples[:n]
-            np.fft.ifft(self._bufs[a - 1][:n], axis=a, out=dst)
-        return self.samples[:n]
+            dst = heads[a][:n * k] if a < d else samples[:n * k]
+            np.fft.ifft(bufs[a - 1][:n * k], axis=a, out=dst)
+        coeffs *= advance
+        yield samples[:n * k]
 
 
 # ---------------------------------------------------------------------------
 # Strichartz
 
-def _spacetime_lp_mean(f, p, nt, pad=2, chunk=32):
+def _spacetime_lp_mean(f, p, nt):
     """Midpoint-rule mean of ||e^{it Lap} f||_{L^p}^p over t in [0, 1].
 
-    Samples come from the padded grid (factor pad), in single precision with
-    a float64 sum: the quadrature feeds log-log exponent fits, where float32
-    round-off is far below the trial-to-trial spread.
-
-    If every nonzero mode of f has the same lambda, then e^{it Lap} f =
-    e^{-i lambda t} f has a modulus that does not depend on t, so the mean
-    is ||f||_{L^p}^p on the same padded grid, evaluated once in double
-    precision.
-
-    Otherwise time samples go in chunks.  The phases of the first chunk are
-    tabulated once, by repeated multiplication with exp(-i dt lambda); later
-    chunks reuse that table after advancing the coefficients by
-    exp(-i chunk dt lambda).  Each chunk goes through _PaddedInverseFFT,
-    whose shifted storage multiplies the samples by a unimodular phase and
-    leaves |u| unchanged.
+    The pad-2 samples of _free_samples come in single precision, summed in
+    float64: the quadrature feeds log-log exponent fits, where float32
+    round-off is far below the trial-to-trial spread.  Their phase leaves |u|
+    unchanged, and their scale keeps |u|^p clear of float32 subnormals.  If
+    every nonzero mode of f has one lambda, |e^{it Lap} f| = |f| at all t, so
+    the mean is ||f||_{L^p}^p on the same grid, once in double precision.
     """
     geom = f.geometry
-    target = geom.padded(pad)
-    lam = np.fft.fftshift(_freq_sq(geom))
-    coeffs = np.fft.fftshift(f.coeffs)
-    live = lam[coeffs != 0]
+    live = _freq_sq(geom)[f.coeffs != 0]
     if np.all(live == live[:1]):
-        return lp_norm(f, p, pad=pad) ** p
-    # the inverse FFT divides by the padded grid size; scaling the modes up
-    # front makes it return u itself, whose powers stay clear of float32
-    # subnormals (slow, and inexact)
-    coeffs = coeffs * target.npoints
+        return lp_norm(f, p, pad=2) ** p
+    target = geom.padded(2)
     w = target.volume / target.npoints
-    M, P = geom.grid, target.grid
-    c = min(chunk, nt)
-    step = np.exp(-1j / nt * lam)
-    table = np.empty((c,) + M, dtype=np.complex128)
-    table[0] = np.exp(-0.5j / nt * lam)
-    for j in range(1, c):
-        np.multiply(table[j - 1], step, out=table[j])
-    advance = np.exp(-1j * (c / nt) * lam)
-    fft = _PaddedInverseFFT(M, P, c, np.complex64)
-    mag2 = np.empty(fft.samples.shape, dtype=np.float32)
+    mag2 = np.empty((min(32, nt),) + target.grid, dtype=np.float32)
     powd = np.empty_like(mag2)
     half = p / 2.0
     acc = 0.0
-    for lo in range(0, nt, c):
-        n = min(c, nt - lo)
-        np.multiply(table[:n], coeffs, out=fft.head[:n])
-        samples = fft(n)
-        coeffs *= advance
-        m2, pw = mag2[:n], powd[:n]
+    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64):
+        m2, pw = mag2[:len(samples)], powd[:len(samples)]
         np.square(samples.real, out=m2)
         np.square(samples.imag, out=pw)
         m2 += pw
@@ -304,40 +285,31 @@ def bench_bernstein(p, q, N_list, trials, seed, d=2):
 # ---------------------------------------------------------------------------
 # trilinear admissibility (free evolutions)
 
-def _trilinear_samples(phis, eta, ts):
-    """||u1 u2 u3||_{B^{-eta}} at each time in ts, u_j = e^{it Lap} phi_j.
+def _trilinear_samples(phis, eta, T, nt):
+    """||u1 u2 u3||_{B^{-eta}} at nt evenly spaced times in [-T, T],
+    u_j = e^{it Lap} phi_j.
 
-    Each product is evaluated on the pad-3 grid, which is exact: the
-    factors have modes in [-M/2, M/2), so the product has modes in
-    [-3M/2, 3M/2) and nothing aliases on 3M points.
-
-    Each distinct factor is transformed once per time, so three identical
-    factors (the same object, as the `ones` row passes them) cost one
-    inverse FFT and the product is its cube.  The factors go through
-    _PaddedInverseFFT, which multiplies each by e^{i xi(M/2) . x}; the
-    product then carries e^{i xi(3M/2) . x}, which on the 3M grid turns
-    its forward FFT into the fftshifted coefficients.  The block sums of
-    the Besov norm come from one bincount over the shifted block labels of
-    the padded geometry.
+    The pad-3 grid is exact: factor modes in [-M/2, M/2) give product
+    modes in [-3M/2, 3M/2), and nothing aliases on 3M points.  Each
+    distinct factor (three identical ones are the `ones` row's one object)
+    comes from _free_samples once per time, times e^{i xi(M/2) . x}; the
+    product carries e^{i xi(3M/2) . x}, which on the 3M grid makes its
+    forward FFT the fftshifted coefficients.  One bincount over the shifted
+    block labels gives the Besov block sums.
     """
     geom = phis[0].geometry
     target = geom.padded(3)
     distinct = list({id(f): f for f in phis}.values())
     slots = [[g is f for g in distinct].index(True) for f in phis]
-    lam = np.fft.fftshift(_freq_sq(geom))
-    # scaled so that the inverse FFT returns the samples themselves
-    coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in distinct]) * target.npoints
-    fft = _PaddedInverseFFT(geom.grid, target.grid, len(distinct), np.complex128)
     labels = np.fft.fftshift(_block_exponents(target)).ravel() + 1  # zero mode -> 0
     nblocks = int(labels.max()) + 1
     Ns = np.array([0.0] + [2.0 ** j for j in range(nblocks - 1)])
     # block norm = sqrt(volume * sum |c|^2), c = fftn(product) / npoints
     weight = _bracket(Ns) ** -eta * (math.sqrt(target.volume) / target.npoints)
     prod = np.empty(target.grid, dtype=np.complex128)
-    vals = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        np.multiply(coeffs, np.exp(-1j * t * lam), out=fft.head)
-        u = fft(len(distinct))
+    vals = np.empty(nt)
+    dt = 2.0 * T / max(nt - 1, 1)  # np.linspace(-T, T, nt); nt = 1 is t = -T
+    for i, u in enumerate(_free_samples(distinct, 3, -T, dt, nt, 1, np.complex128)):
         np.multiply(u[slots[0]], u[slots[1]], out=prod)
         for j in slots[2:]:
             prod *= u[j]
@@ -355,8 +327,7 @@ def _trilinear_ratio(phis, eta, zeta, T, nt):
     time for factors that are one object (the `ones` row).  The RHS is
     ||phi1||_{B^{-eta}} ||phi2||_{B^zeta} ||phi3||_{B^zeta}.
     """
-    ts = np.linspace(-T, T, nt)
-    lhs = float(np.trapezoid(_trilinear_samples(phis, eta, ts), ts))
+    lhs = float(np.trapezoid(_trilinear_samples(phis, eta, T, nt), np.linspace(-T, T, nt)))
     rhs = besov_norm(phis[0], -eta) * besov_norm(phis[1], zeta) * besov_norm(phis[2], zeta)
     return lhs / rhs
 

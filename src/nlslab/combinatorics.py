@@ -1,5 +1,5 @@
-"""Collision-map enumeration, the product-expansion identity, Duhamel
-iterates, and consistency of the iterated mild-hierarchy expansion.
+"""Collision-map enumeration, the product-expansion identity, and
+consistency of the iterated mild-hierarchy expansion.
 
 A collision map sigma records, for each of r successive collisions, which
 earlier particle the new one attaches to: sigma(j) in {1, ..., j-1} for
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import (
-    DEFAULT_RANK_BUDGET,
     FactorizedDensityMatrix,
     apply_sobolev_op,
     collision_full,
-    collision_single,
     default_zeta,
     hierarchy_defect_matrix,
     hierarchy_free_evolve,
@@ -36,7 +34,6 @@ __all__ = [
     "enumerate_collision_maps",
     "collision_map_count",
     "verify_product_identity",
-    "evaluate_duhamel_iterate",
     "expansion_consistency",
     "ENUMERATION_BUDGET",
 ]
@@ -132,29 +129,6 @@ def verify_product_identity(m, F, G, t, nodes=24):
             inner += _integral(integrand, 0.0, t, nodes)
         rhs += coeff * inner
     return abs(lhs - rhs)
-
-
-def evaluate_duhamel_iterate(f, sigma, t, times, budget=DEFAULT_RANK_BUDGET):
-    """Duhamel iterate of order r on factorized data:
-
-        U^{(k)}(t - t_1) B_{sigma(k+1),k+1} U^{(k+1)}(t_1 - t_2) ...
-            B_{sigma(k+r),k+r} |f><f|^{tensor (k+r)}
-
-    times is (t_1, ..., t_r).  sigma None (r = 0) is rejected: that iterate
-    is U^{(k)}(t) |f><f|^{tensor k}, which tensor_power gives directly.
-    """
-    if sigma is None:
-        raise ValueError("r = 0 call needs an explicit order; use tensor_power")
-    k, r = sigma.k, sigma.r
-    if len(times) != r:
-        raise ValueError("need r = %d intermediate times" % r)
-    _check_budget(2 ** r, budget)
-    gamma = tensor_power(f, k + r)
-    ts = [t] + list(times)
-    for i in range(r, 0, -1):
-        gamma = collision_single(gamma, sigma.values[i - 1], budget=budget)
-        gamma = hierarchy_free_evolve(gamma, ts[i - 1] - ts[i])
-    return gamma
 
 
 def expansion_consistency(traj, k, r, zeta=None, budget=100000):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlslab.bench import (
     admissible_parameters,
@@ -16,20 +17,24 @@ from nlslab.bench import (
     bench_trilinear,
     fit_exponent,
     fit_loglog,
+    _free_samples,
     _spacetime_lp_mean,
     _trilinear_ratio,
     _trilinear_samples,
 )
 from nlslab import bench as bench_module
 from nlslab.torus import (
+    SpectralField,
     TorusGeometry,
     besov_norm,
+    field_samples,
     free_evolve,
     lp_norm,
     mode_field,
     product_field,
     random_shell_field,
     shell_extremizer_field,
+    truncate_field,
 )
 
 
@@ -69,6 +74,39 @@ def test_fit_exponent_needs_three_levels():
         assert all(math.isnan(v) for v in fit_exponent(rows))
     slope, _, _ = fit_exponent([(2, 1.0), (4, 1.0), (8, 1.0)])
     assert abs(slope) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 3), thetas=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+       grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
+       nfields=st.integers(1, 3), t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
+       nt=st.integers(1, 9), chunk=st.integers(1, 4), single=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+# a chunked advance from a negative start that ends on a partial chunk, and
+# nt below and equal to the chunk
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2)
+def test_free_samples_match_free_evolve(d, thetas, grid, pad, nfields, t0, dt, nt, chunk,
+                                        single, seed):
+    geom = TorusGeometry(d, thetas[:d], grid[:d])
+    target = geom.padded(pad)
+    rng = np.random.default_rng(seed)
+    fields = [SpectralField(geom, rng.standard_normal(geom.grid)
+                            + 1j * rng.standard_normal(geom.grid)) for _ in range(nfields)]
+    dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
+    blocks = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+    assert [len(b) for b in blocks] == [nfields * min(chunk, nt - lo) for lo in range(0, nt, chunk)]
+    assert all(b.dtype == dtype for b in blocks)
+    got = np.concatenate(blocks).reshape((nt, nfields) + target.grid)
+    # divide out the phase e^{i xi(M/2) . x} of the shifted storage
+    x = np.meshgrid(*[np.arange(P) * (2 * np.pi / (th * P))
+                      for th, P in zip(geom.thetas, target.grid)], indexing="ij")
+    phase = np.exp(1j * sum(th * M / 2 * xa for th, M, xa in zip(geom.thetas, geom.grid, x)))
+    for j in range(nt):
+        for i, f in enumerate(fields):
+            want = field_samples(truncate_field(free_evolve(f, t0 + j * dt), target))
+            assert np.abs(got[j, i] / phase - want).max() <= tol * np.abs(want).max()
 
 
 def _direct_spacetime_lp_mean(f, p, nt):
@@ -143,9 +181,9 @@ def test_bench_bernstein_small_run():
         bench_bernstein(4.0, 2.0, (2, 4, 8), 1, 0)
 
 
-def _direct_trilinear_samples(phis, eta, ts):
+def _direct_trilinear_samples(phis, eta, T, nt):
     return np.array([besov_norm(product_field(*[free_evolve(f, t) for f in phis], pad=4), -eta)
-                     for t in ts])
+                     for t in np.linspace(-T, T, nt)])
 
 
 def test_trilinear_samples_match_pad4_products():
@@ -153,13 +191,13 @@ def test_trilinear_samples_match_pad4_products():
     skew = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     cube = TorusGeometry(3, (1.0, 1.0, 1.0), (8, 8, 8))
     cases = [
-        ([random_shell_field(skew, N, rng) for N in (4, 2, 8)], np.linspace(-0.7, 0.7, 5)),
-        ([random_shell_field(skew, 2, rng) for _ in range(3)], np.array([0.3])),  # nt = 1
-        ([random_shell_field(cube, N, rng) for N in (2, 4, 2)], np.array([-0.4, 0.0, 0.9])),
+        ([random_shell_field(skew, N, rng) for N in (4, 2, 8)], 0.7, 5),
+        ([random_shell_field(skew, 2, rng) for _ in range(3)], 0.3, 1),  # one time, t = -T
+        ([random_shell_field(cube, N, rng) for N in (2, 4, 2)], 0.9, 3),
     ]
-    for phis, ts in cases:
-        got = _trilinear_samples(phis, 0.25, ts)
-        want = _direct_trilinear_samples(phis, 0.25, ts)
+    for phis, T, nt in cases:
+        got = _trilinear_samples(phis, 0.25, T, nt)
+        want = _direct_trilinear_samples(phis, 0.25, T, nt)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -167,7 +205,7 @@ def test_trilinear_samples_match_pad4_products():
 def test_trilinear_identical_factors_take_one_transform(monkeypatch):
     geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     ones = shell_extremizer_field(geom, 2, "ones")
-    ts = np.linspace(-0.5, 0.5, 3)
+    T, nt = 0.5, 3
     calls = []
     real_ifft = np.fft.ifft
 
@@ -176,14 +214,14 @@ def test_trilinear_identical_factors_take_one_transform(monkeypatch):
         return real_ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", spy)
-    shared = _trilinear_samples([ones] * 3, 0.25, ts)
+    shared = _trilinear_samples([ones] * 3, 0.25, T, nt)
     # one field per transform; the first axis skips the all-zero columns
-    assert calls == [(1, 48, 12), (1, 48, 36)] * len(ts)
+    assert calls == [(1, 48, 12), (1, 48, 36)] * nt
     calls.clear()
-    copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, ts)
-    assert calls == [(3, 48, 12), (3, 48, 36)] * len(ts)
+    copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, T, nt)
+    assert calls == [(3, 48, 12), (3, 48, 36)] * nt
     monkeypatch.undo()
-    want = _direct_trilinear_samples([ones] * 3, 0.25, ts)
+    want = _direct_trilinear_samples([ones] * 3, 0.25, T, nt)
     assert np.all(np.abs(shared - copies) <= 1e-12 * shared)
     assert np.all(np.abs(shared - want) <= 1e-12 * want)
     # a single time sample has no trapezoid width

@@ -27,7 +27,7 @@ from nlslab.report import (
     write_trajectory,
 )
 from nlslab.solver import solve_nls
-from nlslab.torus import SpectralField, TorusGeometry, random_shell_field
+from nlslab.torus import TorusGeometry, random_shell_field
 
 
 def _toy_report(fit):

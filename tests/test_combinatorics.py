@@ -10,15 +10,8 @@ from nlslab.combinatorics import (
     CollisionMap,
     collision_map_count,
     enumerate_collision_maps,
-    evaluate_duhamel_iterate,
     expansion_consistency,
     verify_product_identity,
-)
-from nlslab.hierarchy import (
-    collision_single,
-    dense_kernel,
-    hierarchy_free_evolve,
-    tensor_power,
 )
 from nlslab.solver import solve_nls
 from nlslab.torus import TorusGeometry, random_shell_field
@@ -82,20 +75,6 @@ def test_product_identity_trivial_cases():
     assert verify_product_identity(2, F, G, 1.0) < 1e-14
     # all F = 0, single factor: both sides are the plain integral
     assert verify_product_identity(1, [0.0], [lambda t: t], 1.0) < 1e-14
-
-
-def test_duhamel_iterate_matches_manual_composition():
-    f = random_shell_field(GEOM, 2, 0)
-    sigma = CollisionMap(1, 2, (1, 1))
-    t, t1, t2 = 0.3, 0.2, 0.1
-    got = evaluate_duhamel_iterate(f, sigma, t, (t1, t2))
-    manual = tensor_power(f, 3)
-    manual = collision_single(manual, 1)
-    manual = hierarchy_free_evolve(manual, t1 - t2)
-    manual = collision_single(manual, 1)
-    manual = hierarchy_free_evolve(manual, t - t1)
-    assert got.order == 1 and got.rank == manual.rank
-    assert np.abs(dense_kernel(got) - dense_kernel(manual)).max() < 1e-12
 
 
 def test_expansion_consistency_halves():

@@ -29,7 +29,6 @@ from nlslab.torus import (
     mode_field,
     random_shell_field,
     sobolev_norm,
-    unit_constant_field,
     zero_field,
 )
 

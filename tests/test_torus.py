@@ -23,7 +23,6 @@ from nlslab.torus import (
     lp_norm,
     mode_field,
     mollifier_ramp,
-    pointwise_product,
     product_field,
     random_shell_field,
     shell_extremizer_field,
