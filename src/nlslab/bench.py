@@ -10,6 +10,8 @@ explicit flag saying so, and acceptance is by slope bounds with stated slack.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,7 +157,15 @@ def _trial_fields(geom, N, trials, rng):
 # ---------------------------------------------------------------------------
 # space-time sampling of free evolutions
 
-def _free_samples(fields, pad, t0, dt, nt, chunk, dtype):
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None):
     """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) for every f in
     fields, on the grid padded by pad, in blocks of at most chunk times.
 
@@ -167,6 +177,13 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype):
     the padded grid size, so the samples come out as u e^{i xi(M/2) . x} with
     the padding at the end of each axis; the inverse FFT runs one axis at a
     time and skips the rows that are still all zero.
+
+    A block runs as contiguous time slices, one per CPU this process may run
+    on: the caller runs the first, a thread each of the others (numpy's FFTs
+    and ufuncs release the GIL).  Slices write disjoint rows, so the samples
+    do not depend on their count.  consume(rows, u), if given, runs in each
+    slice on its rows u = block[rows].  All slices finish, and the first
+    error is raised, before a block is yielded or the coefficients advance.
     """
     geom = fields[0].geometry
     M, P = geom.grid, geom.padded(pad).grid
@@ -186,12 +203,32 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype):
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     modes = bufs[0].reshape((c, k) + bufs[0].shape[1:])[:, :, :M[0]]
     samples = np.empty((c * k,) + P, dtype=dtype)
+    lanes, errors = _cpus(), []
+
+    def run(lo, hi):
+        try:
+            np.multiply(table[lo:hi], coeffs, out=modes[lo:hi])
+            rows = slice(lo * k, hi * k)
+            for a in range(1, d + 1):
+                np.fft.ifft(bufs[a - 1][rows], axis=a,
+                            out=heads[a][rows] if a < d else samples[rows])
+            if consume is not None:
+                consume(rows, samples[rows])
+        except BaseException as exc:  # raised in the caller, below
+            errors.append(exc)
+
     for lo in range(0, nt, c):
         n = min(c, nt - lo)
-        np.multiply(table[:n], coeffs, out=modes[:n])
-        for a in range(1, d + 1):
-            dst = heads[a][:n * k] if a < d else samples[:n * k]
-            np.fft.ifft(bufs[a - 1][:n * k], axis=a, out=dst)
+        parts = min(lanes, n)
+        cuts = [n * i // parts for i in range(parts + 1)]
+        workers = [threading.Thread(target=run, args=ab) for ab in zip(cuts[1:-1], cuts[2:])]
+        for w in workers:
+            w.start()
+        run(0, cuts[1])
+        for w in workers:
+            w.join()
+        if errors:
+            raise errors[0]
         coeffs *= advance
         yield samples[:n * k]
 
@@ -208,6 +245,9 @@ def _spacetime_lp_mean(f, p, nt):
     unchanged, and their scale keeps |u|^p clear of float32 subnormals.  If
     every nonzero mode of f has one lambda, |e^{it Lap} f| = |f| at all t, so
     the mean is ||f||_{L^p}^p on the same grid, once in double precision.
+    The |u|^p step runs in the time slices of _free_samples; each block's
+    float64 sum runs here, whole, so the value does not depend on the number
+    of slices.
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
@@ -218,11 +258,11 @@ def _spacetime_lp_mean(f, p, nt):
     mag2 = np.empty((min(32, nt),) + target.grid, dtype=np.float32)
     powd = np.empty_like(mag2)
     half = p / 2.0
-    acc = 0.0
-    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64):
-        m2, pw = mag2[:len(samples)], powd[:len(samples)]
-        np.square(samples.real, out=m2)
-        np.square(samples.imag, out=pw)
+
+    def power(rows, u):
+        m2, pw = mag2[rows], powd[rows]
+        np.square(u.real, out=m2)
+        np.square(u.imag, out=pw)
         m2 += pw
         if half == int(half):
             np.copyto(pw, m2)
@@ -230,7 +270,10 @@ def _spacetime_lp_mean(f, p, nt):
                 pw *= m2
         else:
             np.power(m2, half, out=pw)
-        acc += float(np.sum(pw, dtype=np.float64)) * w
+
+    acc = 0.0
+    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64, power):
+        acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
     return acc / nt
 
 

@@ -239,7 +239,10 @@ def unit_constant_field(geom):
 # norms
 
 def l2_norm(f):
-    return math.sqrt(f.geometry.volume) * float(np.linalg.norm(f.coeffs))
+    # numpy's own pairwise sum: a BLAS dot splits its sum by thread count,
+    # which would make report bytes depend on the machine
+    c = f.coeffs
+    return math.sqrt(f.geometry.volume) * math.sqrt(float(np.sum(c.real * c.real + c.imag * c.imag)))
 
 
 def inner_product(f, g):

@@ -1,6 +1,9 @@
 """Exponent-fit benches and the exact admissible-parameter table."""
 
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -81,21 +84,28 @@ def test_fit_exponent_needs_three_levels():
        grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
        nfields=st.integers(1, 3), t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
        nt=st.integers(1, 9), chunk=st.integers(1, 4), single=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5))
 # a chunked advance from a negative start that ends on a partial chunk, and
-# nt below and equal to the chunk
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2)
+# nt below and equal to the chunk; more lanes than times in a block
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0, 2)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1, 5)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2, 3)
 def test_free_samples_match_free_evolve(d, thetas, grid, pad, nfields, t0, dt, nt, chunk,
-                                        single, seed):
+                                        single, seed, lanes):
     geom = TorusGeometry(d, thetas[:d], grid[:d])
     target = geom.padded(pad)
     rng = np.random.default_rng(seed)
     fields = [SpectralField(geom, rng.standard_normal(geom.grid)
                             + 1j * rng.standard_normal(geom.grid)) for _ in range(nfields)]
     dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
-    blocks = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+    blocks = {}
+    for n in (1, lanes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_module, "_cpus", lambda: n)
+            blocks[n] = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+    # the slices write disjoint rows: any lane count gives the same bits
+    assert all(np.array_equal(a, b) for a, b in zip(blocks[1], blocks[lanes], strict=True))
+    blocks = blocks[1]
     assert [len(b) for b in blocks] == [nfields * min(chunk, nt - lo) for lo in range(0, nt, chunk)]
     assert all(b.dtype == dtype for b in blocks)
     got = np.concatenate(blocks).reshape((nt, nfields) + target.grid)
@@ -127,6 +137,54 @@ def test_spacetime_lp_mean_matches_direct_evolution():
         want = _direct_spacetime_lp_mean(f, p, nt)
         # the batched path runs in single precision
         assert abs(got - want) < 1e-5 * want
+
+
+def test_spacetime_lp_mean_is_lane_invariant(monkeypatch):
+    # five lanes on two chunks and a partial one, with the GIL handed over
+    # as often as the interpreter allows: an advance of the coefficients
+    # before every slice has finished would change the sum
+    f = random_shell_field(TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12)), 2, 0)
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
+    want = _spacetime_lp_mean(f, 6.0, 70)
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 5)
+    interval = sys.getswitchinterval()
+    start = time.perf_counter()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            assert _spacetime_lp_mean(f, 6.0, 70) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_free_samples_leaves_no_worker_behind(monkeypatch):
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 4)
+    f = random_shell_field(TorusGeometry(2, (1.0, 1.0), (8, 8)), 2, 0)
+    before = threading.active_count()
+    ran_on = set()
+    blocks = _free_samples([f], 2, 0.0, 0.1, 20, 8, np.complex64,
+                           lambda rows, u: ran_on.add(threading.current_thread()))
+    next(blocks)
+    blocks.close()
+    workers = ran_on - {threading.current_thread()}
+    assert len(workers) == 3
+    for t in workers:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert threading.active_count() == before
+
+
+def test_free_samples_raises_a_slice_error(monkeypatch):
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 3)
+    f = random_shell_field(TorusGeometry(1, (1.0,), (8,)), 2, 0)
+
+    def consume(rows, u):
+        if rows.start > 0:  # a slice that runs on a worker thread
+            raise RuntimeError("slice failed")
+
+    with pytest.raises(RuntimeError, match="slice failed"):
+        list(_free_samples([f], 2, 0.0, 0.1, 6, 6, np.complex64, consume))
 
 
 def test_spacetime_lp_mean_single_lambda_shortcut(monkeypatch):

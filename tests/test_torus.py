@@ -1,10 +1,14 @@
 """Spectral fields, projections, norms, and dealiased products."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.torus import (
     GeometryMismatchError,
     SpectralField,
@@ -92,6 +96,28 @@ def test_l2_norm_constant_field():
         # constant 1 has L^2 norm sqrt(vol)
         one = mode_field(geom, (0,) * geom.d)
         assert abs(l2_norm(one) - math.sqrt(geom.volume)) < 1e-12
+
+
+_SEEDED_L2_NORM = """
+import numpy as np
+from nlslab.torus import SpectralField, TorusGeometry, l2_norm
+geom = TorusGeometry(2, (1.0, 1.0), (256, 256))
+rng = np.random.default_rng(0)
+print(repr(l2_norm(SpectralField(geom, rng.standard_normal(geom.grid)
+                                 + 1j * rng.standard_normal(geom.grid)))))
+"""
+
+
+def test_l2_norm_does_not_depend_on_blas_threads():
+    # a threaded BLAS dot splits its sum by thread count; report bytes must
+    # not depend on the machine's core count
+    src = os.path.dirname(os.path.dirname(nlslab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = [subprocess.run([sys.executable, "-c", _SEEDED_L2_NORM], capture_output=True, text=True,
+                          check=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)).stdout
+           for n in ("1", "2")]
+    assert out[0] == out[1]
 
 
 def test_inner_product_consistent_with_norm():
