@@ -97,12 +97,14 @@ class ExperimentReport:
     slope: float = math.nan
     intercept: float = math.nan
     residual: float = math.nan
-    evidence_not_proof: bool = True
     footer: dict = field(default_factory=dict)
 
 
 def fit_loglog(x, y):
-    """Least-squares slope/intercept/rms-residual of log y against log x."""
+    """Least-squares slope/intercept/rms-residual of log y against log x;
+    all NaN below 3 distinct x, where no trend shows."""
+    if len({float(v) for v in x}) < 3:
+        return math.nan, math.nan, math.nan
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
     A = np.stack([lx, np.ones_like(lx)], axis=1)
@@ -112,13 +114,9 @@ def fit_loglog(x, y):
 
 
 def fit_exponent(rows):
-    """Slope, intercept and rms residual of log ratio against log <N> for
-    rows of (N, ratio); all NaN below 3 distinct N, where no trend shows."""
-    if len({float(N) for N, _ in rows}) < 3:
-        return math.nan, math.nan, math.nan
-    x = [math.sqrt(1.0 + float(N) ** 2) for N, _ in rows]
-    y = [float(r) for _, r in rows]
-    return fit_loglog(x, y)
+    """fit_loglog of ratio against <N> for rows of (N, ratio)."""
+    return fit_loglog([math.sqrt(1.0 + float(N) ** 2) for N, _ in rows],
+                      [float(r) for _, r in rows])
 
 
 def _sweep(name, params, columns, d, N_list, trials, seed, ratios, row, fitted=None):

@@ -132,6 +132,8 @@ def _cubic_product(args):
 
 
 def _halved_times(args):
+    if args.levels < 1:
+        raise UsageError("--levels must be >= 1, not %d" % args.levels)
     return [1.0 / 2 ** i for i in range(args.levels)]
 
 
@@ -182,6 +184,8 @@ def _verify_hierarchy(args):
 
 
 def _verify_lemma25(args):
+    if args.m < 1:
+        raise UsageError("--m must be >= 1, not %d" % args.m)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for m in range(1, args.m + 1):
@@ -226,6 +230,8 @@ def _params_table(args):
         dims = range(int(lo), int(hi) + 1)
     else:
         dims = [int(dim_arg)]
+    if not dims:
+        raise UsageError("--d range %s is empty" % dim_arg)
     lines = ["d,zeta0,alpha0,epsilon,s0,q0,epsilon_open"]
     for d in dims:
         pars = _bench.admissible_parameters(d)

@@ -36,9 +36,12 @@ __all__ = [
     "verify_product_identity",
     "expansion_consistency",
     "ENUMERATION_BUDGET",
+    "EXPANSION_BUDGET",
 ]
 
 ENUMERATION_BUDGET = 12
+# Rank budget of the term lists of expansion_consistency.
+EXPANSION_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -80,18 +83,14 @@ def collision_map_count(k, r):
     return math.prod(range(k, k + r))
 
 
-def _gauss_nodes(a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _integral(fn, a, b):
+    """24-node Gauss-Legendre quadrature of fn over [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(24)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * x, half * w
+    return sum(wi * fn(xi) for xi, wi in zip(mid + half * x, half * w))
 
 
-def _integral(fn, a, b, nodes):
-    x, w = _gauss_nodes(a, b, nodes)
-    return sum(wi * fn(xi) for xi, wi in zip(x, w))
-
-
-def verify_product_identity(m, F, G, t, nodes=24):
+def verify_product_identity(m, F, G, t):
     """|LHS - RHS| of the product-expansion identity
 
         prod_r (F_r + int_0^t G_r)
@@ -106,7 +105,7 @@ def verify_product_identity(m, F, G, t, nodes=24):
         raise ValueError("m must be <= 6")
     if len(F) != m or len(G) != m:
         raise ValueError("need m coefficients and m functions")
-    full = [_integral(G[i], 0.0, t, nodes) for i in range(m)]
+    full = [_integral(G[i], 0.0, t) for i in range(m)]
     lhs = math.prod(F[i] + full[i] for i in range(m))
     rhs = 0.0 + 0.0j
     for mask in range(2 ** m):
@@ -123,17 +122,17 @@ def verify_product_identity(m, F, G, t, nodes=24):
             def integrand(tau, r=r, rest=rest):
                 val = G[r](tau)
                 for i in rest:
-                    val *= _integral(G[i], 0.0, tau, nodes)
+                    val *= _integral(G[i], 0.0, tau)
                 return val
 
-            inner += _integral(integrand, 0.0, t, nodes)
+            inner += _integral(integrand, 0.0, t)
         rhs += coeff * inner
     return abs(lhs - rhs)
 
 
-def expansion_consistency(traj, k, r, zeta=None, budget=100000):
-    """Trace-norm defect, under S^{(k,-zeta0)}, of the iterated mild-hierarchy
-    expansion at the final stored time.
+def expansion_consistency(traj, k, r):
+    """Trace-norm defect, under S^{(k,-zeta)} with zeta = default_zeta(d), of
+    the iterated mild-hierarchy expansion at the final stored time.
 
     r = 1 is the mild equation itself and delegates to the same defect matrix
     as hierarchy_duhamel_residual; r = 2 substitutes the equation into itself
@@ -141,13 +140,12 @@ def expansion_consistency(traj, k, r, zeta=None, budget=100000):
     """
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
-    if zeta is None:
-        zeta = default_zeta(traj.geometry.d)
+    zeta = default_zeta(traj.geometry.d)
     M = len(traj.times) - 1
     if M < 2:
         raise ValueError("need at least 3 time points")
     if r == 1:
-        defect = hierarchy_defect_matrix(traj, k, M, budget=budget)
+        defect = hierarchy_defect_matrix(traj, k, M, budget=EXPANSION_BUDGET)
         return trace_norm(apply_sobolev_op(defect, -zeta))
     # In the interaction picture (the defect conjugated by U^{(k)}(-t), which
     # keeps its weighted trace norm) the substituted equation is the mild
@@ -155,7 +153,7 @@ def expansion_consistency(traj, k, r, zeta=None, budget=100000):
     #   g(t1) = gamma0^{(k+1)} - i mu sum_j w'_j I_j,
     # with I_j = U(-t2) B_{k+2} gamma^{(k+2)}(t2) the order-(k+1) mild
     # integrand at t2 = t_j, built once per stored time.
-    inner = _pulled_back_collisions(traj, k + 1, M, budget)
+    inner = _pulled_back_collisions(traj, k + 1, M, EXPANSION_BUDGET)
     outer = []
     for i in range(M + 1):
         g = tensor_power(traj.states[0], k + 1).terms
@@ -164,7 +162,7 @@ def expansion_consistency(traj, k, r, zeta=None, budget=100000):
             g += [(-1j * traj.coupling * wj * c, ke, br) for c, ke, br in coll.terms]
         t1 = float(traj.times[i])
         g = hierarchy_free_evolve(FactorizedDensityMatrix(k + 1, g), t1)
-        outer.append(hierarchy_free_evolve(collision_full(g, budget=budget), -t1))
+        outer.append(hierarchy_free_evolve(collision_full(g, budget=EXPANSION_BUDGET), -t1))
     defect = _interaction_defect(traj, k, M, outer)
-    _check_budget(defect.rank, budget)
+    _check_budget(defect.rank, EXPANSION_BUDGET)
     return trace_norm(apply_sobolev_op(defect, -zeta))

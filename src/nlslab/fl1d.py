@@ -126,7 +126,7 @@ def free_wave(phi0, T, window=DEFAULT_WINDOW, ntimes=DEFAULT_TIME_POINTS):
     return SpaceTimeField(geom, window, coeffs)
 
 
-def duhamel_wave(forcing, T, window=DEFAULT_WINDOW, ntimes=DEFAULT_TIME_POINTS):
+def duhamel_wave(forcing, T):
     """chi(t/T) int_0^t e^{i (t - tau) Lap} F(tau) dtau for a space-time
     forcing F, via a cumulative trapezoid from t = 0 (a grid point)."""
     geom = forcing.geometry
@@ -199,50 +199,33 @@ def _check_refinement(value, refined, name, tol=0.01):
         )
 
 
-def bench_linear_homogeneous(
-    r,
-    b,
-    T_list,
-    mode=3,
-    s=0.0,
-    window=DEFAULT_WINDOW,
-    ntimes=DEFAULT_TIME_POINTS,
-):
-    """||chi(t/T) e^{i t Lap} phi0||_{X^{s,b}_r} against T for a single-mode
-    phi0; the fitted log-log slope tracks 1/r - b as T -> 0."""
-    geom = TorusGeometry(1, (1.0,), (64,))
-    phi0 = mode_field(geom, (mode,))
+def _sweep(name, params, column, T_list, value, target_slope):
+    """The loop of both X^{s,b} benches: value(T, ntimes) for each T in
+    T_list at DEFAULT_TIME_POINTS, checked against twice as many points,
+    and the log-log slope of the values against T, fitted directly."""
     rows = []
     for T in T_list:
-        val = xsb_norm(free_wave(phi0, T, window, ntimes), s, b, r)
-        ref = xsb_norm(free_wave(phi0, T, window, 2 * ntimes), s, b, r)
-        _check_refinement(val, ref, "homogeneous norm at T=%g" % T)
+        val = value(T, DEFAULT_TIME_POINTS)
+        _check_refinement(val, value(T, 2 * DEFAULT_TIME_POINTS),
+                          "%s %s at T=%g" % (name, column, T))
         rows.append((T, val))
     slope, intercept, resid = fit_loglog([T for T, _ in rows], [v for _, v in rows])
     return ExperimentReport(
-        name="xsb-homogeneous",
-        params={"r": r, "b": b, "s": s, "mode": mode, "window": window, "ntimes": ntimes},
-        columns=["T", "norm"],
-        rows=rows,
-        seed=0,
-        trials=len(rows),
-        slope=slope,
-        intercept=intercept,
-        residual=resid,
-        footer={"target_slope": 1.0 / r - b, "fit": "direct"},
-    )
+        name, dict(params, window=DEFAULT_WINDOW, ntimes=DEFAULT_TIME_POINTS), ["T", column],
+        rows, 0, len(rows), slope, intercept, resid,
+        footer={"target_slope": target_slope, "fit": "direct"})
 
 
-def bench_linear_inhomogeneous(
-    r,
-    b,
-    beta,
-    T_list,
-    mode=3,
-    s=0.0,
-    window=DEFAULT_WINDOW,
-    ntimes=DEFAULT_TIME_POINTS,
-):
+def bench_linear_homogeneous(r, b, T_list, mode=3, s=0.0):
+    """||chi(t/T) e^{i t Lap} phi0||_{X^{s,b}_r} against T for a single-mode
+    phi0; the fitted log-log slope tracks 1/r - b as T -> 0."""
+    phi0 = mode_field(TorusGeometry(1, (1.0,), (64,)), (mode,))
+    return _sweep("xsb-homogeneous", {"r": r, "b": b, "s": s, "mode": mode}, "norm", T_list,
+                  lambda T, ntimes: xsb_norm(free_wave(phi0, T, ntimes=ntimes), s, b, r),
+                  1.0 / r - b)
+
+
+def bench_linear_inhomogeneous(r, b, beta, T_list, mode=3, s=0.0):
     """Gain of the Duhamel map chi(t/T) int_0^t e^{i(t-tau) Lap} F against T.
 
     The forcing is a single spatial mode with a time profile of width
@@ -250,47 +233,14 @@ def bench_linear_inhomogeneous(
     regime; the fitted slope of the ratio tracks 1 + beta - b.
     """
     geom = TorusGeometry(1, (1.0,), (64,))
-    lam = _freq_sq(geom)
-    nsq = float(lam[mode % geom.grid[0]])
-    rows = []
-    for T in T_list:
+    n = mode % 64
+    nsq = float(_freq_sq(geom)[n])
 
-        def forcing_coeffs(ntp):
-            dt = 2.0 * window / ntp
-            times = -window + dt * np.arange(ntp)
-            # free-wave phase keeps the forcing parabolically concentrated
-            prof = time_cutoff(times / T) * np.exp(-1j * times * nsq)
-            c = np.zeros((ntp, geom.grid[0]), dtype=np.complex128)
-            c[:, mode % geom.grid[0]] = prof
-            return SpaceTimeField(geom, window, c)
+    def ratio(T, ntimes):
+        F = SpaceTimeField(geom, DEFAULT_WINDOW, np.zeros((ntimes, 64), dtype=np.complex128))
+        # free-wave phase keeps the forcing parabolically concentrated
+        F.coeffs[:, n] = time_cutoff(F.times / T) * np.exp(-1j * F.times * nsq)
+        return xsb_norm(duhamel_wave(F, T), s, b, r) / xsb_norm(F, s, beta, r)
 
-        def ratio_for(ntp):
-            F = forcing_coeffs(ntp)
-            num = xsb_norm(duhamel_wave(F, T, window, ntp), s, b, r)
-            den = xsb_norm(F, s, beta, r)
-            return num / den
-
-        val = ratio_for(ntimes)
-        _check_refinement(val, ratio_for(2 * ntimes), "inhomogeneous ratio at T=%g" % T)
-        rows.append((T, val))
-    slope, intercept, resid = fit_loglog([T for T, _ in rows], [v for _, v in rows])
-    return ExperimentReport(
-        name="xsb-inhomogeneous",
-        params={
-            "r": r,
-            "b": b,
-            "beta": beta,
-            "s": s,
-            "mode": mode,
-            "window": window,
-            "ntimes": ntimes,
-        },
-        columns=["T", "ratio"],
-        rows=rows,
-        seed=0,
-        trials=len(rows),
-        slope=slope,
-        intercept=intercept,
-        residual=resid,
-        footer={"target_slope": 1.0 + beta - b, "fit": "direct"},
-    )
+    return _sweep("xsb-inhomogeneous", {"r": r, "b": b, "beta": beta, "s": s, "mode": mode},
+                  "ratio", T_list, ratio, 1.0 + beta - b)

@@ -39,7 +39,6 @@ __all__ = [
     "trace_norms",
     "dense_kernel",
     "dense_trace_norm",
-    "is_hermitian",
     "hierarchy_duhamel_residual",
     "hierarchy_defect_matrix",
     "default_zeta",
@@ -237,14 +236,18 @@ def trace_norm(gamma):
     return trace_norms([gamma])[0]
 
 
-def dense_kernel(gamma, max_size=4096):
+# Largest n^k for which dense_kernel forms the (n^k, n^k) matrix.
+DENSE_MAX_SIZE = 4096
+
+
+def dense_kernel(gamma):
     """Dense kernel matrix of shape (n^k, n^k); small-grid oracle only."""
     if gamma.rank == 0:
         raise ValueError("empty term list has no geometry")
     n = gamma.geometry.npoints
     dim = n ** gamma.order
-    if dim > max_size:
-        raise RankBudgetError("dense kernel dimension %d exceeds %d" % (dim, max_size))
+    if dim > DENSE_MAX_SIZE:
+        raise RankBudgetError("dense kernel dimension %d exceeds %d" % (dim, DENSE_MAX_SIZE))
     out = np.zeros((dim, dim), dtype=np.complex128)
     for c, kets, bras in gamma.terms:
         kv = np.array([1.0 + 0.0j])
@@ -257,22 +260,12 @@ def dense_kernel(gamma, max_size=4096):
     return out
 
 
-def dense_trace_norm(gamma, max_size=4096):
+def dense_trace_norm(gamma):
     """Oracle trace norm via dense SVD (coefficient basis is orthogonal with
     weight vol per slot, so singular values scale by vol^k)."""
-    K = dense_kernel(gamma, max_size)
+    K = dense_kernel(gamma)
     vol = gamma.geometry.volume
     return float(np.linalg.svd(K, compute_uv=False).sum()) * vol ** gamma.order
-
-
-def is_hermitian(gamma, tol=1e-12):
-    """|| gamma - gamma^H ||_HS^2 <= tol || gamma ||_HS^2, with both
-    Hilbert-Schmidt norms taken as Frobenius norms of the matrix that
-    represents gamma in one orthonormal basis of its kets and bras."""
-    if gamma.rank == 0:
-        return True
-    A = _reduced_matrices([gamma])[0]
-    return bool(np.linalg.norm(A - A.conj().T) ** 2 <= tol * max(np.linalg.norm(A) ** 2, 1e-300))
 
 
 def default_zeta(d):
@@ -327,9 +320,10 @@ def hierarchy_defect_matrix(traj, k, m, budget=DEFAULT_RANK_BUDGET):
     return _interaction_defect(traj, k, m, integrand)
 
 
-def hierarchy_duhamel_residual(traj, k, zeta=None, budget=DEFAULT_RANK_BUDGET):
+def hierarchy_duhamel_residual(traj, k, budget=DEFAULT_RANK_BUDGET):
     """Max over four checkpoint times of the trace norm of the mild-hierarchy
-    defect (hierarchy_defect_matrix) under the S^{(k,-zeta)} weighting.
+    defect (hierarchy_defect_matrix) under the S^{(k,-zeta)} weighting,
+    zeta = default_zeta(d).
 
     The defect is evaluated on four evenly spaced stored times, always
     including the final one; the integral itself always uses the full stored
@@ -342,8 +336,7 @@ def hierarchy_duhamel_residual(traj, k, zeta=None, budget=DEFAULT_RANK_BUDGET):
     if M < 2:
         raise ValueError("need at least 3 time points")
     integrand = _pulled_back_collisions(traj, k, M, budget)
-    if zeta is None:
-        zeta = default_zeta(traj.geometry.d)
+    zeta = default_zeta(traj.geometry.d)
     return max(trace_norms(
         [apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta)
          for m in {int(round(i * M / 4)) for i in range(1, 5)}]))

@@ -75,7 +75,7 @@ def write_report(report, path):
     lines.append("# slope = %s" % repr(report.slope))
     lines.append("# intercept = %s" % repr(report.intercept))
     lines.append("# residual = %s" % repr(report.residual))
-    lines.append("# evidence_not_proof = %s" % report.evidence_not_proof)
+    lines.append("# evidence_not_proof = True")
     for key in sorted(report.footer):
         lines.append("# %s = %s" % (key, format_value(report.footer[key])))
     write_atomic(path, "\n".join(lines) + "\n")

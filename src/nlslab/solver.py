@@ -106,20 +106,20 @@ def solve_nls(phi0, T, dt, coupling=1.0, guard_factor=1e6):
     return Trajectory(phi0.geometry, times, states, float(coupling))
 
 
-def plane_wave_trajectory(geom, n, T, dt, coupling=1.0, amplitude=1.0):
-    """Exact single-mode solution A e^{i xi(n).x - i (|xi|^2 + mu |A|^2) t},
+def plane_wave_trajectory(geom, n, T, dt):
+    """Exact defocusing single-mode solution e^{i xi(n).x - i (|xi|^2 + 1) t},
     sampled analytically on the same uniform grid the solver would use."""
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-10 * T:
         raise ValueError("dt must divide T")
-    phi0 = mode_field(geom, n, amplitude)
+    phi0 = mode_field(geom, n)
     idx = tuple(int(i) % M for i, M in zip(n, geom.grid))
-    omega = float(_freq_sq(geom)[idx]) + coupling * abs(amplitude) ** 2
+    omega = float(_freq_sq(geom)[idx]) + 1.0
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
     states = [
         SpectralField(geom, np.exp(-1j * omega * t) * phi0.coeffs) for t in times
     ]
-    return Trajectory(geom, times, states, float(coupling))
+    return Trajectory(geom, times, states, 1.0)
 
 
 def simpson_prefix(samples, h):
@@ -177,9 +177,9 @@ def mild_defect_profile(traj, nonlinearity, beta):
     return out
 
 
-def duhamel_defect_profile(traj, beta=None):
-    """H^beta norm of the cubic mild-equation defect at every stored time
-    (mild_defect_profile with N = mu |phi|^2 phi); beta defaults to -d/2 - 0.1.
+def duhamel_defect_profile(traj):
+    """H^beta norm, beta = -d/2 - 0.1, of the cubic mild-equation defect at
+    every stored time (mild_defect_profile with N = mu |phi|^2 phi).
 
     The integrand uses the dealiased cubic product, while the split-step
     nonlinear phase acts pointwise on the base grid; the two agree (and the
@@ -187,11 +187,10 @@ def duhamel_defect_profile(traj, beta=None):
     stay inside the base band, i.e. 3 max|n| < M/2 per axis for the initial
     data.  Wider data leaves a dt-independent aliasing floor.
     """
-    if beta is None:
-        beta = -traj.geometry.d / 2.0 - 0.1
-    return mild_defect_profile(traj, lambda st: traj.coupling * cubic_field(st), beta)
+    return mild_defect_profile(traj, lambda st: traj.coupling * cubic_field(st),
+                               -traj.geometry.d / 2.0 - 0.1)
 
 
-def duhamel_residual(traj, beta=None):
-    """Max over stored times of the mild-equation defect in H^beta."""
-    return float(duhamel_defect_profile(traj, beta).max())
+def duhamel_residual(traj):
+    """Max over stored times of the mild-equation defect (duhamel_defect_profile)."""
+    return float(duhamel_defect_profile(traj).max())

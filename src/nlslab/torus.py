@@ -25,13 +25,11 @@ __all__ = [
     "field_samples",
     "zero_field",
     "mode_field",
-    "unit_constant_field",
     "l2_norm",
     "inner_product",
     "lp_norm",
     "shell_indices",
     "dyadic_blocks",
-    "shell_project",
     "dyadic_project",
     "smooth_dyadic_project",
     "mollifier_ramp",
@@ -39,7 +37,6 @@ __all__ = [
     "zero_block_bump",
     "sobolev_norm",
     "besov_norm",
-    "block_l2_profile",
     "free_evolve",
     "conjugate",
     "product_field",
@@ -222,17 +219,11 @@ def field_samples(f):
 def zero_field(geom):
     return SpectralField(geom, np.zeros(geom.grid, dtype=np.complex128))
 
-def mode_field(geom, n, amplitude=1.0):
-    """Single exponential amplitude * exp(i xi(n) . x)."""
+def mode_field(geom, n):
+    """Single exponential exp(i xi(n) . x)."""
     c = np.zeros(geom.grid, dtype=np.complex128)
-    idx = tuple(int(ni) % mi for ni, mi in zip(n, geom.grid))
-    c[idx] = amplitude
+    c[tuple(int(ni) % mi for ni, mi in zip(n, geom.grid))] = 1.0
     return SpectralField(geom, c)
-
-
-def unit_constant_field(geom):
-    """The constant field with unit L^2 norm."""
-    return mode_field(geom, (0,) * geom.d, 1.0 / math.sqrt(geom.volume))
 
 
 # ---------------------------------------------------------------------------
@@ -275,36 +266,22 @@ def sobolev_norm(f, s):
     return math.sqrt(f.geometry.volume * float(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
-def block_l2_profile(f):
-    """L^2 norm of P_N f for each block N on the grid, as (N_array, norms)."""
-    lab = _block_exponents(f.geometry)
-    power = np.abs(f.coeffs) ** 2 * f.geometry.volume
-    nexp = int(lab.max()) + 1
-    sums = np.zeros(nexp + 1)
-    flat_lab = lab.ravel() + 1  # zero mode -> bin 0
-    np.add.at(sums, flat_lab, power.ravel())
-    Ns = np.array([0] + [2 ** j for j in range(nexp)], dtype=np.int64)
-    return Ns, np.sqrt(sums)
-
-
 def _bracket(x):
     return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 
 def besov_norm(f, s):
     """B^s_{2,1} norm: sum_N <N>^s ||P_N f||_{L^2}."""
-    Ns, norms = block_l2_profile(f)
-    return float(np.sum(_bracket(Ns) ** s * norms))
+    lab = _block_exponents(f.geometry)
+    nexp = int(lab.max()) + 1
+    sums = np.zeros(nexp + 1)
+    # zero mode -> bin 0
+    np.add.at(sums, lab.ravel() + 1, (np.abs(f.coeffs) ** 2 * f.geometry.volume).ravel())
+    Ns = np.array([0] + [2 ** j for j in range(nexp)], dtype=np.int64)
+    return float(np.sum(_bracket(Ns) ** s * np.sqrt(sums)))
 
 # ---------------------------------------------------------------------------
 # projections
-
-def shell_project(f, k):
-    if k < 0:
-        raise ValueError("shell index must be >= 0")
-    mask = shell_indices(f.geometry) == k
-    return SpectralField(f.geometry, np.where(mask, f.coeffs, 0.0))
-
 
 def dyadic_project(f, N):
     _require_dyadic(N)
@@ -438,9 +415,9 @@ def pointwise_product(f, g):
     return _extract(product_field(f, g, pad=2), f.geometry)
 
 
-def cubic_field(phi, conj_middle=True):
+def cubic_field(phi):
     """|phi|^2 phi on the base grid, dealiased via a 2x padded product."""
-    full = product_field(phi, phi, phi, conj=(False, conj_middle, False), pad=2)
+    full = product_field(phi, phi, phi, conj=(False, True, False), pad=2)
     return _extract(full, phi.geometry)
 
 

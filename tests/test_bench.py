@@ -77,6 +77,9 @@ def test_fit_exponent_needs_three_levels():
         assert all(math.isnan(v) for v in fit_exponent(rows))
     slope, _, _ = fit_exponent([(2, 1.0), (4, 1.0), (8, 1.0)])
     assert abs(slope) < 1e-12
+    # the rule is fit_loglog's, so the X^{s,b} benches share it
+    for x in ([1.0], [1.0, 0.5], [1.0, 0.5, 1.0], []):
+        assert all(math.isnan(v) for v in fit_loglog(x, [2.0] * len(x)))
 
 
 @settings(max_examples=20, deadline=None)

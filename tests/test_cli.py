@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +465,17 @@ def test_two_block_sweep_writes_its_rows_with_a_nan_slope(tmp_path, args, nrows,
         assert math.isnan(refit_report(path)[0])
 
 
+@pytest.mark.parametrize("args", ["xsb-homogeneous --levels 1", "xsb-homogeneous --levels 2",
+                                  "xsb-inhomogeneous --levels 1"])
+def test_short_modulation_sweep_writes_its_rows_with_a_nan_fit(tmp_path, args):
+    path = tmp_path / "r.csv"
+    assert main(["bench"] + args.split() + ["--out", str(path)]) == 0
+    _, rows, footer = read_report(path)
+    assert len(rows) == int(args.split()[-1])
+    assert footer["slope"] == footer["intercept"] == footer["residual"] == "nan"
+    assert math.isnan(refit_report(path)[0])
+
+
 _NUM = r"\d\.\d+e[-+]\d\d"
 
 # (argv, a full-match pattern per stdout line)
@@ -508,16 +520,25 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args, err", [
-    ("cubic-product --nmin 0", "usage error: --nmin must be >= 1, not 0"),
-    ("cubic-product --nmin 16 --nmax 8", "usage error: --nmax 8 is below --nmin 16"),
-    ("strichartz --trials -1", "usage error: --trials must be >= 0, not -1"),
-    ("sobolev-product --trials 0",
+    ("bench cubic-product --nmin 0 --out r.csv", "usage error: --nmin must be >= 1, not 0"),
+    ("bench cubic-product --nmin 16 --nmax 8 --out r.csv",
+     "usage error: --nmax 8 is below --nmin 16"),
+    ("bench strichartz --trials -1 --out r.csv", "usage error: --trials must be >= 0, not -1"),
+    ("bench sobolev-product --trials 0 --out r.csv",
      "error: need trials >= 1: the product rows are random trials only"),
-], ids=["nmin", "nmax", "trials", "sobolev-product-trials"])
+    ("bench xsb-homogeneous --levels 0 --out r.csv", "usage error: --levels must be >= 1, not 0"),
+    ("bench xsb-inhomogeneous --levels -1 --out r.csv",
+     "usage error: --levels must be >= 1, not -1"),
+    ("verify lemma25 --m 0", "usage error: --m must be >= 1, not 0"),
+    ("verify lemma25 --m -3", "usage error: --m must be >= 1, not -3"),
+    ("params table --d 3..2 --out r.csv", "usage error: --d range 3..2 is empty"),
+], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
+        "lemma25-m", "lemma25-m-negative", "params-d"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
+    # a range that holds nothing to check or fit is a usage error, not a pass
     monkeypatch.chdir(tmp_path)
-    assert main(["bench"] + args.split() + ["--out", "r.csv"]) == 1
-    assert capsys.readouterr().err == err + "\n"
+    assert main(args.split()) == 1
+    assert capsys.readouterr() == ("", err + "\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -555,3 +576,20 @@ def test_subcommand_help_shows_defaults(capsys, name):
             metavar = opt[2:].replace("-", "_").upper()
             assert re.search(r"%s %s [^(]*\(default: %s\)" % (
                 re.escape(opt), metavar, re.escape(str(spec[1]))), out), opt
+
+
+def _readme_command_lines():
+    """The argument vector of each `nlslab ...` line in the README's
+    "Command line" block, without its trailing comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.partition("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("nlslab ")]
+
+
+def test_readme_command_lines_parse():
+    # every documented command and option exists; nothing is run
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert " ".join(argv).startswith(build_parser().parse_args(argv).command.name)

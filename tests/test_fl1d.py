@@ -80,7 +80,7 @@ def test_duhamel_wave_single_mode_analytic():
     times = -window + dt * np.arange(ntimes)
     c = np.zeros((ntimes, 64), dtype=np.complex128)
     c[:, n] = np.exp(-1j * times * lam)
-    out = duhamel_wave(SpaceTimeField(GEOM, window, c), T, window, ntimes)
+    out = duhamel_wave(SpaceTimeField(GEOM, window, c), T)
     cut = time_cutoff(times / T)
     expect = cut * times * np.exp(-1j * times * lam)
     assert np.abs(out.coeffs[:, n] - expect).max() < 1e-12

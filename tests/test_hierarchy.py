@@ -3,6 +3,7 @@ and the mild-hierarchy residual."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nlslab import hierarchy as hierarchy_module
 from nlslab.hierarchy import (
@@ -18,7 +19,6 @@ from nlslab.hierarchy import (
     hierarchy_defect_matrix,
     hierarchy_duhamel_residual,
     hierarchy_free_evolve,
-    is_hermitian,
     tensor_power,
     trace_norm,
     trace_norms,
@@ -27,6 +27,8 @@ from nlslab.solver import plane_wave_trajectory, simpson_weights, solve_nls
 from nlslab.torus import (
     SpectralField,
     TorusGeometry,
+    conjugate,
+    field_samples,
     l2_norm,
     mode_field,
     random_shell_field,
@@ -167,8 +169,6 @@ def test_collision_single_matches_dense_contraction():
     # dense oracle: kernel on the sample grid
     n = geom.npoints
     w = geom.volume / n  # quadrature weight for the y-integral
-    from nlslab.torus import field_samples
-
     F1, F2 = field_samples(f1), field_samples(f2)
     G1, G2 = field_samples(g1), field_samples(g2)
     c = 1.0 + 0.5j
@@ -197,18 +197,41 @@ def test_collision_full_is_sum_over_slots():
     assert np.abs(K_full - K_sum).max() < 1e-12
 
 
-def test_collision_is_anti_hermitian():
+# tori with unequal sides in d = 1, 2 on grids of 4 to 8 points per axis
+_GEOMETRIES = st.builds(lambda d, thetas, grid: TorusGeometry(d, thetas[:d], grid[:d]),
+                        st.integers(1, 2), st.tuples(*[st.floats(0.5, 1.5)] * 2),
+                        st.tuples(*[st.sampled_from((4, 6, 8))] * 2))
+
+
+def _is_hermitian(K):
+    return np.abs(K - K.conj().T).max() <= 1e-12 * np.abs(K).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(geom=_GEOMETRIES, k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_collision_is_anti_hermitian(geom, k, seed):
     # the delta-difference kernel is anti-Hermitian on Hermitian input, so
-    # i B gamma (the combination entering the hierarchy) is Hermitian
-    phi = _rand(GEOM, 8)
-    gamma = tensor_power(phi, 2)
-    assert is_hermitian(gamma)
+    # i B gamma (the combination entering the hierarchy) is Hermitian; the
+    # dense oracle bounds n^(k+1), which leaves out d = 2 with k = 2
+    assume(geom.npoints ** (k + 1) <= 1296)
+    gamma = tensor_power(_rand(geom, seed), k + 1)
+    assert _is_hermitian(dense_kernel(gamma))
     coll = collision_full(gamma)
-    assert not is_hermitian(coll)
-    rotated = FactorizedDensityMatrix(
-        coll.order, [(1j * c, k_, b_) for c, k_, b_ in coll.terms]
-    )
-    assert is_hermitian(rotated)
+    assert not _is_hermitian(dense_kernel(coll))
+    rotated = FactorizedDensityMatrix(k, [(1j * c, k_, b_) for c, k_, b_ in coll.terms])
+    assert _is_hermitian(dense_kernel(rotated))
+
+
+@settings(max_examples=25, deadline=None)
+@given(geom=_GEOMETRIES, seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugate_is_an_involution(geom, seed):
+    # collision_single conjugates the last ket and bra factors; any index
+    # reversal is an involution, so the samples pin which one it is
+    f = _rand(geom, seed)
+    g = conjugate(f)
+    assert np.array_equal(conjugate(g).coeffs, f.coeffs)
+    err = np.abs(field_samples(g) - np.conj(field_samples(f))).max()
+    assert err < 1e-12 * np.abs(f.coeffs).sum()
 
 
 def test_free_evolution_is_isospectral():

@@ -35,8 +35,7 @@ def test_checker_rules():
 
 
 def test_no_unused_imports():
-    # package __init__ modules import to re-export, so they are exempt
-    files = [p for p in sorted((ROOT / "src" / "nlslab").glob("*.py")) if p.name != "__init__.py"]
+    files = sorted((ROOT / "src" / "nlslab").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
               for p in files for line, name in _unused_imports(p.read_text())]

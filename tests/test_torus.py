@@ -31,11 +31,9 @@ from nlslab.torus import (
     random_shell_field,
     shell_extremizer_field,
     shell_indices,
-    shell_project,
     smooth_dyadic_project,
     sobolev_norm,
     truncate_field,
-    unit_constant_field,
     zero_block_bump,
     zero_field,
 )
@@ -91,8 +89,6 @@ def test_mode_field_evaluates_to_exponential():
 
 def test_l2_norm_constant_field():
     for geom in GEOMS:
-        f = unit_constant_field(geom)
-        assert abs(l2_norm(f) - 1.0) < 1e-12
         # constant 1 has L^2 norm sqrt(vol)
         one = mode_field(geom, (0,) * geom.d)
         assert abs(l2_norm(one) - math.sqrt(geom.volume)) < 1e-12
@@ -168,15 +164,6 @@ def test_partition_of_unity_and_orthogonality():
         a = dyadic_project(f, blocks[0])
         b = dyadic_project(f, blocks[1])
         assert abs(inner_product(a, b)) < 1e-12
-
-
-def test_shell_project_partition():
-    geom = GEOMS[0]
-    f = _random_field(geom, 4)
-    total = zero_field(geom)
-    for k in range(int(shell_indices(geom).max()) + 1):
-        total = total + shell_project(f, k)
-    assert np.abs(total.coeffs - f.coeffs).max() < 1e-12
 
 
 def test_smooth_projector_reproduces_sharp_block():
