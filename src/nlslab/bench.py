@@ -66,7 +66,7 @@ def admissible_parameters(d):
     max(zeta0, alpha0, d/4) and q0 satisfies d/q0 - d/2 = zeta0.
     """
     if d < 2:
-        raise ValueError("d must be >= 2 (d = 1 is handled by fourier_lebesgue_1d)")
+        raise ValueError("d must be >= 2 (d = 1 is handled by nlslab.fl1d)")
     d = int(d)
     if d <= 4:
         zeta0 = Fraction(d * (d - 1), 2 * (d + 2))

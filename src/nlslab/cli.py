@@ -186,6 +186,8 @@ def _verify_hierarchy(args):
 def _verify_lemma25(args):
     if args.m < 1:
         raise UsageError("--m must be >= 1, not %d" % args.m)
+    if args.m > _comb.PRODUCT_IDENTITY_MAX_M:
+        raise UsageError("--m must be <= %d, not %d" % (_comb.PRODUCT_IDENTITY_MAX_M, args.m))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for m in range(1, args.m + 1):
@@ -375,7 +377,8 @@ COMMANDS = (
             _verify_hierarchy),
     Command("verify lemma25", "product-expansion identity with random cubic data",
             "combinatorics.verify_product_identity",
-            (Opt("--m", int, 4, "largest number of factors"), _SEED,
+            (Opt("--m", int, 4, "largest number of factors, 1 to %d"
+                 % _comb.PRODUCT_IDENTITY_MAX_M), _SEED,
              Opt("--tol", float, 1e-10, "largest accepted defect")),
             _verify_lemma25),
     Command("verify gauge", "renormalized mild equation after the mass gauge",

@@ -37,9 +37,12 @@ __all__ = [
     "expansion_consistency",
     "ENUMERATION_BUDGET",
     "EXPANSION_BUDGET",
+    "PRODUCT_IDENTITY_MAX_M",
 ]
 
 ENUMERATION_BUDGET = 12
+# Largest number of factors verify_product_identity sums the 2^m partitions of.
+PRODUCT_IDENTITY_MAX_M = 6
 # Rank budget of the term lists of expansion_consistency.
 EXPANSION_BUDGET = 100000
 
@@ -101,8 +104,8 @@ def verify_product_identity(m, F, G, t):
     with the empty-S2 partition contributing prod F_r (inner sum read as 1).
     Both sides use Gauss-Legendre quadrature, exact for polynomial G.
     """
-    if m > 6:
-        raise ValueError("m must be <= 6")
+    if m > PRODUCT_IDENTITY_MAX_M:
+        raise ValueError("m must be <= %d" % PRODUCT_IDENTITY_MAX_M)
     if len(F) != m or len(G) != m:
         raise ValueError("need m coefficients and m functions")
     full = [_integral(G[i], 0.0, t) for i in range(m)]

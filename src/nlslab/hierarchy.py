@@ -88,56 +88,68 @@ def tensor_power(phi, k):
     return FactorizedDensityMatrix(k, [(1.0 + 0.0j, (phi,) * k, (phi,) * k)])
 
 
+def _once_per_object(fn):
+    """fn computed once per tuple of argument objects, keyed by their
+    identity: the caller holds the arguments alive while it uses fn."""
+    done = {}
+
+    def once(*args):
+        key = tuple(map(id, args))
+        if key not in done:
+            done[key] = fn(*args)
+        return done[key]
+
+    return once
+
+
+def _collisions(gamma, j, budget):
+    """collision_single(gamma, j), or collision_full(gamma) for j None, in
+    one loop that forms each distinct pointwise product once per call,
+    keyed by the identity of its factor objects: on a tensor power the ket
+    and bra contractions coincide, and so do the slot products of every j."""
+    k = gamma.order - 1
+    if k < 1:
+        raise ValueError("input must have order >= 2")
+    if j is not None and not 1 <= j <= k:
+        raise ValueError("j must satisfy 1 <= j <= k")
+    slots = range(k) if j is None else (j - 1,)
+    _check_budget(2 * len(slots) * gamma.rank, budget)
+    contract = _once_per_object(lambda f, g: pointwise_product(f, conjugate(g)))
+    times = _once_per_object(pointwise_product)
+    out = []
+    for jj in slots:
+        for c, kets, bras in gamma.terms:
+            f_last, g_last = kets[k], bras[k]
+            ket = times(kets[jj], contract(f_last, g_last))
+            out.append((c, kets[:jj] + (ket,) + kets[jj + 1 : k], bras[:k]))
+            bra = times(bras[jj], contract(g_last, f_last))
+            out.append((-c, kets[:k], bras[:jj] + (bra,) + bras[jj + 1 : k]))
+    return FactorizedDensityMatrix(k, out)
+
+
 def collision_single(gamma, j, budget=DEFAULT_RANK_BUDGET):
     """B_{j,k+1}: contract particle k+1 against particle j (1-based j <= k).
 
     On each factorized term the delta-difference kernel acts exactly by
     pointwise products: a +1 term with ket_j <- f_j * (f_{k+1} conj g_{k+1})
     and a -1 term with bra_j <- g_j * (g_{k+1} conj f_{k+1}); the last factor
-    pair is dropped and the rank doubles.
+    pair is dropped and the rank doubles.  Each distinct product is formed
+    once per call (_collisions).
     """
-    k = gamma.order - 1
-    if k < 1:
-        raise ValueError("input must have order >= 2")
-    if not 1 <= j <= k:
-        raise ValueError("j must satisfy 1 <= j <= k")
-    _check_budget(2 * gamma.rank, budget)
-    out = []
-    jj = j - 1
-    for c, kets, bras in gamma.terms:
-        f_last, g_last = kets[k], bras[k]
-        ket_prod = pointwise_product(f_last, conjugate(g_last))
-        bra_prod = pointwise_product(g_last, conjugate(f_last))
-        kets1 = kets[:jj] + (pointwise_product(kets[jj], ket_prod),) + kets[jj + 1 : k]
-        out.append((c, kets1, bras[:k]))
-        bras2 = bras[:jj] + (pointwise_product(bras[jj], bra_prod),) + bras[jj + 1 : k]
-        out.append((-c, kets[:k], bras2))
-    return FactorizedDensityMatrix(k, out)
+    return _collisions(gamma, j, budget)
 
 
 def collision_full(gamma, budget=DEFAULT_RANK_BUDGET):
-    """B_{k+1} = sum_{j=1}^k B_{j,k+1}."""
-    k = gamma.order - 1
-    if k < 1:
-        raise ValueError("input must have order >= 2")
-    _check_budget(2 * k * gamma.rank, budget)
-    terms = []
-    for j in range(1, k + 1):
-        terms.extend(collision_single(gamma, j, budget=budget).terms)
-    return FactorizedDensityMatrix(k, terms)
+    """B_{k+1} = sum_{j=1}^k B_{j,k+1}, terms in j-major order; each distinct
+    product is formed once for all j (_collisions)."""
+    return _collisions(gamma, None, budget)
 
 
 def _map_factors(gamma, fn):
     """fn on every factor, once per distinct factor object: tensor powers
     and collisions share factors between slots and terms, and the result
     shares them the same way."""
-    done = {}
-
-    def once(f):
-        if id(f) not in done:
-            done[id(f)] = fn(f)
-        return done[id(f)]
-
+    once = _once_per_object(fn)
     return FactorizedDensityMatrix(
         gamma.order,
         [(c, tuple(map(once, kets)), tuple(map(once, bras))) for c, kets, bras in gamma.terms],

@@ -11,6 +11,7 @@ free evolution, dealiased products) is a pure function of a SpectralField.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -348,26 +349,22 @@ def conjugate(f):
     return SpectralField(f.geometry, np.conj(c))
 
 
-def _embed(f, target):
-    """Zero-embed coefficients into a finer grid (same thetas)."""
-    src = np.fft.fftshift(f.coeffs)
+def _band_copy(f, target):
+    """f's coefficients on a finer or coarser grid with the same thetas: the
+    modes the two grids share, copied, and zeros elsewhere.
+
+    In numpy FFT order an axis of M modes holds [0, M/2) first and then
+    [-M/2, 0), so with m = min(M, P) the shared modes are the first m/2 and
+    the last m/2 entries of the axis on both grids, and the copy is 2^d
+    corner blocks, with no shifted intermediate.
+    """
     out = np.zeros(target.grid, dtype=np.complex128)
-    slices = tuple(
-        slice((P - M) // 2, (P - M) // 2 + M)
-        for M, P in zip(f.geometry.grid, target.grid)
-    )
-    out[slices] = src
-    return SpectralField(target, np.fft.ifftshift(out))
-
-
-def _extract(f, target):
-    """Restrict coefficients to a coarser grid (same thetas)."""
-    src = np.fft.fftshift(f.coeffs)
-    slices = tuple(
-        slice((P - M) // 2, (P - M) // 2 + M)
-        for M, P in zip(target.grid, f.geometry.grid)
-    )
-    return SpectralField(target, np.fft.ifftshift(src[slices]))
+    axes = [((slice(0, m // 2),) * 2, (slice(M - m // 2, M), slice(P - m // 2, P)))
+            for M, P in zip(f.geometry.grid, target.grid) for m in (min(M, P),)]
+    for corner in itertools.product(*axes):
+        src, dst = zip(*corner)
+        out[dst] = f.coeffs[src]
+    return SpectralField(target, out)
 
 
 def truncate_field(f, target):
@@ -376,10 +373,9 @@ def truncate_field(f, target):
         raise GeometryMismatchError("target geometry has different sides")
     if target.grid == f.geometry.grid:
         return f.copy()
-    if all(p >= m for p, m in zip(target.grid, f.geometry.grid)):
-        return _embed(f, target)
-    if all(p <= m for p, m in zip(target.grid, f.geometry.grid)):
-        return _extract(f, target)
+    pairs = list(zip(target.grid, f.geometry.grid))
+    if all(p >= m for p, m in pairs) or all(p <= m for p, m in pairs):
+        return _band_copy(f, target)
     raise GeometryMismatchError("mixed pad/truncate not supported")
 
 
@@ -387,10 +383,12 @@ def product_field(*factors, conj=None, pad=2):
     """Pointwise product of fields, computed alias-free on a padded grid.
 
     conj is an optional tuple of booleans marking factors to conjugate.
-    The result lives on the padded geometry.  With k factors on base grid M
-    the product has modes in [-kM/2, kM/2), so pad = k is exact on its
-    whole band (pad = 3 for three factors); pad = 2 is exact on the base
-    band for up to three factors.
+    Each distinct factor object takes one padded inverse FFT, and conj acts
+    on its samples, so cubic_field transforms phi once.  The result lives on
+    the padded geometry.  With k factors on base grid M the product has
+    modes in [-kM/2, kM/2), so pad = k is exact on its whole band (pad = 3
+    for three factors); pad = 2 is exact on the base band for up to three
+    factors.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -401,24 +399,25 @@ def product_field(*factors, conj=None, pad=2):
     if conj is None:
         conj = (False,) * len(factors)
     big = geom.padded(pad)
+    samples = {}
     prod = None
     for f, cj in zip(factors, conj):
-        s = field_samples(_embed(f, big))
-        if cj:
-            s = np.conj(s)
+        if id(f) not in samples:
+            samples[id(f)] = field_samples(_band_copy(f, big))
+        s = np.conj(samples[id(f)]) if cj else samples[id(f)]
         prod = s if prod is None else prod * s
     return field_from_samples(big, prod)
 
 
 def pointwise_product(f, g):
     """f * g truncated back to the common base grid (exact convolution there)."""
-    return _extract(product_field(f, g, pad=2), f.geometry)
+    return _band_copy(product_field(f, g, pad=2), f.geometry)
 
 
 def cubic_field(phi):
     """|phi|^2 phi on the base grid, dealiased via a 2x padded product."""
     full = product_field(phi, phi, phi, conj=(False, True, False), pad=2)
-    return _extract(full, phi.geometry)
+    return _band_copy(full, phi.geometry)
 
 
 # ---------------------------------------------------------------------------

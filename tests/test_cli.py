@@ -1,6 +1,7 @@
 """Report/manifest/trajectory persistence and the command-line front end."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -204,6 +205,14 @@ def test_cli_params_table_exact(capsys):
     assert out[3] == "4,1,1,0,1,4/3,True"
     assert out[4] == "5,3/2,7/6,0,3/2,5/4,True"
     assert out[5] == "6,2,4/3,0,2,6/5,True"
+
+
+def test_cli_params_table_names_the_1d_module(capsys):
+    # the table starts at d = 2; the message points d = 1 at a module that exists
+    assert main(["params", "table", "--d", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: d must be >= 2 (d = 1 is handled by nlslab.fl1d)\n")
+    importlib.import_module("nlslab.fl1d")
 
 
 def test_cli_combinatorics(capsys, tmp_path):
@@ -488,6 +497,9 @@ OTHER_SMOKE = [
     ("verify hierarchy --d 2 --k 2 --T 0.2",
      ["plane-wave residual " + _NUM,
       r"hierarchy k=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
+    ("verify hierarchy --d 2 --k 3 --T 0.2",
+     ["plane-wave residual " + _NUM,
+      r"hierarchy k=3: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify lemma25 --m 3", ["m=%d defect %s" % (m, _NUM) for m in (1, 2, 3)]),
     ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
                               r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
@@ -531,9 +543,11 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
      "usage error: --levels must be >= 1, not -1"),
     ("verify lemma25 --m 0", "usage error: --m must be >= 1, not 0"),
     ("verify lemma25 --m -3", "usage error: --m must be >= 1, not -3"),
+    # checked before any defect is printed
+    ("verify lemma25 --m 7", "usage error: --m must be <= 6, not 7"),
     ("params table --d 3..2 --out r.csv", "usage error: --d range 3..2 is empty"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
-        "lemma25-m", "lemma25-m-negative", "params-d"])
+        "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
     # a range that holds nothing to check or fit is a usage error, not a pass
     monkeypatch.chdir(tmp_path)

@@ -31,6 +31,7 @@ from nlslab.torus import (
     field_samples,
     l2_norm,
     mode_field,
+    pointwise_product,
     random_shell_field,
     sobolev_norm,
 )
@@ -195,6 +196,38 @@ def test_collision_full_is_sum_over_slots():
     K_full = dense_kernel(full)
     K_sum = dense_kernel(parts[0]) + dense_kernel(parts[1])
     assert np.abs(K_full - K_sum).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_collision_full_forms_each_distinct_product_once(monkeypatch, k):
+    # on a tensor power the ket and bra contractions are one product, and
+    # so are the slot products of every j
+    calls = []
+
+    def spy(f, g):
+        calls.append((f, g))
+        return pointwise_product(f, g)
+
+    monkeypatch.setattr(hierarchy_module, "pointwise_product", spy)
+    coll = collision_full(tensor_power(_rand(GEOM, 12), k + 1))
+    assert len(calls) == 2
+    assert coll.rank == 2 * k
+
+
+def test_collision_full_is_the_concatenation_of_its_slots():
+    # factor objects shared between slots and terms, and two terms whose
+    # last ket and bra are the same object
+    a, b, c = (_rand(GEOM, seed) for seed in (13, 14, 15))
+    gamma = FactorizedDensityMatrix(3, [(1.0 + 0.5j, (a, b, a), (b, a, c)),
+                                        (-0.3j, (b, b, c), (a, c, c)),
+                                        (2.0 + 0.0j, (a, a, a), (a, a, a))])
+    full = collision_full(gamma)
+    parts = [t for j in (1, 2) for t in collision_single(gamma, j).terms]
+    assert len(full.terms) == len(parts) == 12
+    for (c1, kets1, bras1), (c2, kets2, bras2) in zip(full.terms, parts):
+        assert c1 == c2
+        for f, g in zip(kets1 + bras1, kets2 + bras2):
+            assert np.array_equal(f.coeffs, g.coeffs)
 
 
 # tori with unequal sides in d = 1, 2 on grids of 4 to 8 points per axis

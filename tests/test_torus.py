@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlslab
+from nlslab import torus as torus_module
 from nlslab.torus import (
     GeometryMismatchError,
     SpectralField,
@@ -292,6 +294,81 @@ def test_truncate_roundtrip():
     down = truncate_field(up, geom)
     assert np.abs(down.coeffs - f.coeffs).max() < 1e-12
     assert abs(l2_norm(up) - l2_norm(f)) < 1e-10
+
+
+# tori with unequal sides in d = 1, 2 on grids of 4 to 8 points per axis
+_GEOMETRIES = st.builds(lambda d, thetas, grid: TorusGeometry(d, thetas[:d], grid[:d]),
+                        st.integers(1, 2), st.tuples(*[st.floats(0.5, 1.5)] * 2),
+                        st.tuples(*[st.sampled_from((4, 6, 8))] * 2))
+
+
+def _shifted_embed(c, big):
+    # the centred construction: fftshift, place in the middle, ifftshift
+    out = np.zeros(big, dtype=np.complex128)
+    out[tuple(slice((P - M) // 2, (P - M) // 2 + M) for M, P in zip(c.shape, big))] = (
+        np.fft.fftshift(c))
+    return np.fft.ifftshift(out)
+
+
+def _shifted_extract(c, small):
+    src = np.fft.fftshift(c)
+    return np.fft.ifftshift(
+        src[tuple(slice((P - M) // 2, (P - M) // 2 + M) for M, P in zip(small, c.shape))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=_GEOMETRIES, pad=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_copies_match_the_shifted_construction(geom, pad, seed):
+    big = geom.padded(pad)
+    f, g = _random_field(geom, seed), _random_field(big, seed)
+    up = truncate_field(f, big)
+    assert np.array_equal(up.coeffs, _shifted_embed(f.coeffs, big.grid))
+    assert np.array_equal(truncate_field(g, geom).coeffs, _shifted_extract(g.coeffs, geom.grid))
+    assert np.array_equal(truncate_field(up, geom).coeffs, f.coeffs)
+
+
+def _circular_convolution(factors, conj, big):
+    """Coefficients of the product on the grid big, summed mode by mode with
+    no FFT: a conjugated factor puts conj(c[n]) at mode -n."""
+    out = np.zeros(big.grid, dtype=np.complex128)
+    out[(0,) * big.d] = 1.0
+    for f, cj in zip(factors, conj):
+        acc = np.zeros(big.grid, dtype=np.complex128)
+        for idx in np.ndindex(*f.geometry.grid):
+            n = [i if i < M // 2 else i - M for i, M in zip(idx, f.geometry.grid)]
+            c = f.coeffs[idx]
+            acc += (np.conj(c) if cj else c) * np.roll(out, [-m if cj else m for m in n],
+                                                      axis=tuple(range(big.d)))
+        out = acc
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(geom=_GEOMETRIES, picks=st.lists(st.tuples(st.integers(0, 1), st.booleans()),
+                                        min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_product_field_is_the_convolution_of_its_factors(geom, picks, seed):
+    # k factors at pad k; two field objects, so one object often comes
+    # twice, with equal or opposite conj flags
+    pool = [_random_field(geom, seed), _random_field(geom, seed + 1)]
+    factors = [pool[i] for i, _ in picks]
+    conj = tuple(cj for _, cj in picks)
+    got = product_field(*factors, conj=conj, pad=len(picks))
+    want = _circular_convolution(factors, conj, geom.padded(len(picks)))
+    scale = math.prod(np.abs(f.coeffs).sum() for f in factors)
+    assert np.abs(got.coeffs - want).max() < 1e-13 * scale
+
+
+def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
+    calls = []
+    samples = torus_module.field_samples
+    monkeypatch.setattr(torus_module, "field_samples",
+                        lambda f: calls.append(f.geometry) or samples(f))
+    phi = _random_field(GEOMS[1], 17)
+    cubic_field(phi)
+    assert calls == [GEOMS[1].padded(2)]
+    product_field(phi, conjugate(phi), phi, pad=3)
+    assert len(calls) == 3
 
 
 def test_random_shell_field_support_and_norm():
