@@ -392,6 +392,8 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0, nt=17):
         raise ValueError("need zeta > zeta0 = %s" % (pars.zeta0,))
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
+    if not T > 0:
+        raise ValueError("need T > 0, not %g" % T)
 
     def ratios(geom, N, rng):
         for _ in range(trials):

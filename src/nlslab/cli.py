@@ -34,7 +34,7 @@ Every subcommand maps to exactly one library operation:
 %s
 
 Exit codes: 0 success, 2 a verification/acceptance window failed,
-1 usage error.
+1 a usage error or a library error.
 """
 
 
@@ -63,15 +63,6 @@ class Command(NamedTuple):
     run: Callable  # run(args) -> an ExperimentReport or text lines to emit, or an exit code
 
 
-def _out_path(path):
-    if path is None:
-        return None
-    outdir = os.environ.get("NLSLAB_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _manifest_path(out):
     """<out minus a .csv suffix>.manifest.json, next to the report."""
     return (out[:-4] if out.endswith(".csv") else out) + ".manifest.json"
@@ -80,7 +71,6 @@ def _manifest_path(out):
 def _emit(result, argv, out):
     """Print a result, or write it to --out with the manifest that `rerun`
     replays.  The result is an ExperimentReport or a list of text lines."""
-    out = _out_path(out)
     report = isinstance(result, _bench.ExperimentReport)
     if out is None:
         if report:
@@ -166,8 +156,8 @@ def _verify_duhamel(args):
                 for st in trajs[0].states) / _solver.mass(phi0)
     print("relative mass drift %.3e" % drift)
     if args.dump:
-        _report.write_trajectory(trajs[0], _out_path(args.dump))
-        print("wrote %s" % _out_path(args.dump))
+        _report.write_trajectory(trajs[0], args.dump)
+        print("wrote %s" % args.dump)
     ok = _halving_check("duhamel", residuals) and drift < 1e-11
     return 0 if ok else 2
 
@@ -220,11 +210,6 @@ def _verify_expansion(args):
     return 0 if vals[1] < vals[0] and vals[0] / vals[1] > 2.0 else 2
 
 
-def _collision_map_count(args):
-    print(_comb.collision_map_count(args.k, args.r))
-    return 0
-
-
 def _params_table(args):
     dim_arg = str(args.d)
     if ".." in dim_arg:
@@ -248,10 +233,10 @@ def _rerun(args):
     stored = doc["out"]
     with open(stored, "rb") as fh:
         before = fh.read()
-    # the fresh run goes next to the original, whichever way argv spelled --out
+    # the fresh run goes next to the original, whichever way argv spelled
+    # --out: _run, unlike dispatch, prefixes no NLSLAB_OUTDIR
     rerun_args = build_parser().parse_args(doc["argv"])
     fresh = rerun_args.out = stored + ".rerun"
-    saved_outdir = os.environ.pop("NLSLAB_OUTDIR", None)
     try:
         code = _run(rerun_args, doc["argv"])
         if code != 0:
@@ -260,8 +245,6 @@ def _rerun(args):
             after = fh.read()
         fresh_doc = _report.read_manifest(_manifest_path(fresh))
     finally:
-        if saved_outdir is not None:
-            os.environ["NLSLAB_OUTDIR"] = saved_outdir
         for path in (fresh, _manifest_path(fresh)):
             if os.path.exists(path):
                 os.remove(path)
@@ -392,7 +375,7 @@ COMMANDS = (
             "combinatorics.enumerate_collision_maps", (_K, _R, _OUT),
             lambda a: [str(s) for s in _comb.enumerate_collision_maps(a.k, a.r)]),
     Command("combinatorics count", "closed-form cardinality", "combinatorics.collision_map_count",
-            (_K, _R), _collision_map_count),
+            (_K, _R), lambda a: [str(_comb.collision_map_count(a.k, a.r))]),
     Command("params table", "exact rational exponent table per dimension",
             "bench.admissible_parameters",
             (Opt("--d", None, "2..6", "dimension or range like 2..6"), _OUT), _params_table),
@@ -430,12 +413,19 @@ def _run(args, argv):
     result = args.command.run(args)
     if isinstance(result, int):
         return result
-    _emit(result, argv, args.out)
+    _emit(result, argv, getattr(args, "out", None))
     return 0
 
 
 def dispatch(argv):
-    return _run(build_parser().parse_args(argv), argv)
+    """Run argv, with NLSLAB_OUTDIR prefixed to relative --out and --dump paths."""
+    args = build_parser().parse_args(argv)
+    outdir = os.environ.get("NLSLAB_OUTDIR")
+    for name in ("out", "dump"):
+        path = getattr(args, name, None)
+        if outdir and path and not os.path.isabs(path):
+            setattr(args, name, os.path.join(outdir, path))
+    return _run(args, argv)
 
 
 def main(argv=None):
@@ -446,7 +436,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -42,6 +42,7 @@ __all__ = [
 
 DEFAULT_WINDOW = 4.0
 DEFAULT_TIME_POINTS = 1024
+_REFINEMENT_TOL = 0.01  # relative change allowed on twice the time points
 
 
 def _conjugate_exponent(r):
@@ -51,10 +52,10 @@ def _conjugate_exponent(r):
 
 
 class SpaceTimeField:
-    """Function on [-T_w, T_w) x circle, stored as spatial coefficients on a
-    uniform time grid t_j = -T_w + j * dt, j = 0 .. M_t - 1."""
+    """Function on [-T_w, T_w) x circle, T_w = DEFAULT_WINDOW, stored as spatial
+    coefficients on a uniform time grid t_j = -T_w + j * dt, j = 0 .. M_t - 1."""
 
-    def __init__(self, geometry, window, coeffs):
+    def __init__(self, geometry, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if geometry.d != 1:
             raise ValueError("space-time fields are one-dimensional in space")
@@ -63,7 +64,6 @@ class SpaceTimeField:
         if coeffs.shape[0] % 2:
             raise ValueError("time point count must be even (t = 0 on the grid)")
         self.geometry = geometry
-        self.window = float(window)
         self.coeffs = coeffs
 
     @property
@@ -72,11 +72,11 @@ class SpaceTimeField:
 
     @property
     def dt(self):
-        return 2.0 * self.window / self.ntimes
+        return 2.0 * DEFAULT_WINDOW / self.ntimes
 
     @property
     def times(self):
-        return -self.window + self.dt * np.arange(self.ntimes)
+        return -DEFAULT_WINDOW + self.dt * np.arange(self.ntimes)
 
     def time_frequencies(self):
         """tau_k = k * pi / T_w in FFT order."""
@@ -85,7 +85,7 @@ class SpaceTimeField:
     def time_transform(self):
         """u_hat(tau_k, n) = (dt / sqrt(2 pi)) sum_j u(t_j, n) e^{-i tau_k t_j}."""
         tau = self.time_frequencies()
-        phase = np.exp(1j * tau * self.window)
+        phase = np.exp(1j * tau * DEFAULT_WINDOW)
         return (self.dt / math.sqrt(2.0 * math.pi)) * phase[:, None] * np.fft.fft(
             self.coeffs, axis=0
         )
@@ -106,7 +106,7 @@ def xsb_norm(u, s, b, r):
     wn = (1.0 + n ** 2) ** (s * rp / 2.0)
     wtau = (1.0 + (tau[:, None] + n[None, :] ** 2) ** 2) ** (b * rp / 2.0)
     uh = np.abs(math.sqrt(geom.volume) * u.time_transform()) ** rp
-    dtau = math.pi / u.window
+    dtau = math.pi / DEFAULT_WINDOW
     return float((dtau * np.sum(wn[None, :] * wtau * uh)) ** (1.0 / rp))
 
 
@@ -115,15 +115,15 @@ def time_cutoff(t):
     return mollifier_ramp((1.9 - np.abs(t)) / 0.9)
 
 
-def free_wave(phi0, T, window=DEFAULT_WINDOW, ntimes=DEFAULT_TIME_POINTS):
-    """chi(t/T) e^{i t Lap} phi0 as a space-time field."""
+def free_wave(phi0, T, ntimes=DEFAULT_TIME_POINTS):
+    """chi(t/T) e^{i t Lap} phi0 as a SpaceTimeField with ntimes time points."""
     geom = phi0.geometry
     lam = _freq_sq(geom)
-    dt = 2.0 * window / ntimes
-    times = -window + dt * np.arange(ntimes)
+    dt = 2.0 * DEFAULT_WINDOW / ntimes
+    times = -DEFAULT_WINDOW + dt * np.arange(ntimes)
     cut = time_cutoff(times / T)
     coeffs = cut[:, None] * np.exp(-1j * times[:, None] * lam[None, :]) * phi0.coeffs
-    return SpaceTimeField(geom, window, coeffs)
+    return SpaceTimeField(geom, coeffs)
 
 
 def duhamel_wave(forcing, T):
@@ -142,7 +142,7 @@ def duhamel_wave(forcing, T):
     I[:mid] = -np.cumsum(steps[:mid][::-1], axis=0)[::-1]
     cut = time_cutoff(times / T)
     coeffs = cut[:, None] * np.exp(-1j * times[:, None] * lam[None, :]) * I
-    return SpaceTimeField(geom, forcing.window, coeffs)
+    return SpaceTimeField(geom, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +192,8 @@ def renormalized_duhamel_residual(traj):
 # small-time scaling benches
 
 
-def _check_refinement(value, refined, name, tol=0.01):
-    if abs(refined - value) > tol * abs(value):
+def _check_refinement(value, refined, name):
+    if abs(refined - value) > _REFINEMENT_TOL * abs(value):
         raise RuntimeError(
             "%s not resolved in time: %g vs %g on refinement" % (name, value, refined)
         )
@@ -237,7 +237,7 @@ def bench_linear_inhomogeneous(r, b, beta, T_list, mode=3, s=0.0):
     nsq = float(_freq_sq(geom)[n])
 
     def ratio(T, ntimes):
-        F = SpaceTimeField(geom, DEFAULT_WINDOW, np.zeros((ntimes, 64), dtype=np.complex128))
+        F = SpaceTimeField(geom, np.zeros((ntimes, 64), dtype=np.complex128))
         # free-wave phase keeps the forcing parabolically concentrated
         F.coeffs[:, n] = time_cutoff(F.times / T) * np.exp(-1j * F.times * nsq)
         return xsb_norm(duhamel_wave(F, T), s, b, r) / xsb_norm(F, s, beta, r)

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .bench import fit_exponent, fit_loglog
 from .solver import Trajectory
 from .torus import SpectralField, TorusGeometry
 
@@ -25,7 +24,6 @@ __all__ = [
     "write_atomic",
     "write_report",
     "read_report",
-    "refit_report",
     "write_manifest",
     "read_manifest",
     "write_trajectory",
@@ -104,29 +102,6 @@ def read_report(path):
     if columns is None:
         raise ValueError("no header row in %s" % path)
     return columns, rows, footer
-
-
-def refit_report(path):
-    """Recompute the fitted slope from a report's rows, as the benches fit it.
-
-    For each distinct value x of the first column the fit takes the largest
-    value of the last column, then fits it as bench.fit_exponent does when
-    that column is a dyadic block index (footer key 'fit = block'), and
-    regresses its log on log(x) otherwise.  A report whose first column
-    labels its rows has no such fit and raises ValueError.
-    """
-    columns, rows, footer = read_report(path)
-    best = {}
-    for row in rows:
-        try:
-            x = float(row[0])
-        except ValueError:
-            raise ValueError("report %s: its first column %r labels rows, so there is "
-                             "no slope to refit" % (path, columns[0])) from None
-        best[x] = max(best.get(x, -math.inf), float(row[-1]))
-    if footer.get("fit", "direct") == "block":
-        return fit_exponent(list(best.items()))
-    return fit_loglog(list(best), list(best.values()))
 
 
 def write_manifest(path, argv, out_path):

@@ -87,35 +87,37 @@ def strang_step(phi, dt, coupling=1.0):
     return free_evolve(field_from_samples(phi.geometry, s), dt / 2.0)
 
 
+def _time_grid(T, dt):
+    """The uniform times 0, dt, ..., T (dt must divide T)."""
+    nsteps = int(round(T / dt))
+    if abs(nsteps * dt - T) > 1e-10 * T:
+        raise ValueError("dt must divide T")
+    return np.linspace(0.0, nsteps * dt, nsteps + 1)
+
+
 def solve_nls(phi0, T, dt, coupling=1.0, guard_factor=1e6):
     """Integrate from phi0 over [0, T] with uniform step dt (dt divides T)."""
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-10 * T:
-        raise ValueError("dt must divide T")
+    times = _time_grid(T, dt)
     h1_0 = sobolev_norm(phi0, 1.0)
     states = [phi0.copy()]
     phi = phi0
-    for _ in range(nsteps):
+    for _ in times[1:]:
         phi = strang_step(phi, dt, coupling)
         if h1_0 > 0 and sobolev_norm(phi, 1.0) > guard_factor * h1_0:
             raise BlowUpError("H^1 norm exceeded %g times its initial value" % guard_factor)
         states.append(phi)
-    times = np.linspace(0.0, nsteps * dt, nsteps + 1)
     return Trajectory(phi0.geometry, times, states, float(coupling))
 
 
 def plane_wave_trajectory(geom, n, T, dt):
     """Exact defocusing single-mode solution e^{i xi(n).x - i (|xi|^2 + 1) t},
     sampled analytically on the same uniform grid the solver would use."""
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-10 * T:
-        raise ValueError("dt must divide T")
+    times = _time_grid(T, dt)
     phi0 = mode_field(geom, n)
     idx = tuple(int(i) % M for i, M in zip(n, geom.grid))
     omega = float(_freq_sq(geom)[idx]) + 1.0
-    times = np.linspace(0.0, nsteps * dt, nsteps + 1)
     states = [
         SpectralField(geom, np.exp(-1j * omega * t) * phi0.coeffs) for t in times
     ]

@@ -291,8 +291,10 @@ def dyadic_project(f, N):
 
 
 def mollifier_ramp(x):
-    """Smooth ramp r with r = 0 for x <= 0, r = 1 for x >= 1, built from the
-    standard mollifier b(x) = exp(-1/x)."""
+    """Smooth ramp b(x) / (b(x) + b(1 - x)) with the standard mollifier
+    b(x) = exp(-1/x) for x > 0 and 0 otherwise.  b underflows only below
+    x = 0.002, so the sum is never 0, and the ramp is exactly 0 for x <= 0
+    and exactly 1 for x >= 1."""
     x = np.asarray(x, dtype=float)
     def b(y):
         out = np.zeros_like(y)
@@ -300,12 +302,7 @@ def mollifier_ramp(x):
         out[pos] = np.exp(-1.0 / y[pos])
         return out
     num = b(x)
-    den = num + b(1.0 - x)
-    with np.errstate(invalid="ignore"):
-        r = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    r[x >= 1.0] = 1.0
-    r[x <= 0.0] = 0.0
-    return r
+    return num / (num + b(1.0 - x))
 
 
 def dyadic_bump(u):
@@ -368,11 +365,11 @@ def _band_copy(f, target):
 
 
 def truncate_field(f, target):
-    """Re-express f on another grid with the same thetas (pad or truncate)."""
+    """Re-express f on another grid with the same thetas, padding or
+    truncating on every axis (an equal grid gives a copy); a grid that pads
+    one axis and truncates another is rejected."""
     if target.thetas != f.geometry.thetas or target.d != f.geometry.d:
         raise GeometryMismatchError("target geometry has different sides")
-    if target.grid == f.geometry.grid:
-        return f.copy()
     pairs = list(zip(target.grid, f.geometry.grid))
     if all(p >= m for p, m in pairs) or all(p <= m for p, m in pairs):
         return _band_copy(f, target)

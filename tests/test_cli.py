@@ -14,22 +14,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlslab
-from nlslab.bench import ExperimentReport
+from nlslab.bench import ExperimentReport, fit_exponent, fit_loglog
 from nlslab.cli import build_parser, main
 from nlslab.report import (
     format_value,
     read_manifest,
     read_report,
     read_trajectory,
-    refit_report,
     write_manifest,
     write_report,
     write_trajectory,
 )
 from nlslab.solver import solve_nls
-from nlslab.torus import TorusGeometry, random_shell_field
+from nlslab.torus import SpectralField, TorusGeometry, random_shell_field
 
 
 def _toy_report(fit):
@@ -41,6 +41,29 @@ def _toy_report(fit):
         slope=0.7, intercept=math.log(1.5), residual=0.0,
         footer={"fit": fit},
     )
+
+
+def refit_report(path):
+    """Recompute the fitted slope from a report's rows, as the benches fit it.
+
+    For each distinct value x of the first column the fit takes the largest
+    value of the last column, then fits it as bench.fit_exponent does when
+    that column is a dyadic block index (footer key 'fit = block'), and
+    regresses its log on log(x) otherwise.  A report whose first column
+    labels its rows has no such fit and raises ValueError.
+    """
+    columns, rows, footer = read_report(path)
+    best = {}
+    for row in rows:
+        try:
+            x = float(row[0])
+        except ValueError:
+            raise ValueError("report %s: its first column %r labels rows, so there is "
+                             "no slope to refit" % (path, columns[0])) from None
+        best[x] = max(best.get(x, -math.inf), float(row[-1]))
+    if footer.get("fit", "direct") == "block":
+        return fit_exponent(list(best.items()))
+    return fit_loglog(list(best), list(best.values()))
 
 
 def test_format_value_round_trips_floats():
@@ -107,18 +130,25 @@ def test_manifest_round_trip_and_validation(tmp_path):
         read_manifest(bad)
 
 
-def test_trajectory_round_trip(tmp_path):
-    geom = TorusGeometry(1, (1.0,), (16,))
-    traj = solve_nls(random_shell_field(geom, 2, 0), 0.05, 0.01, coupling=-1.0)
-    path = tmp_path / "t.bin"
+@settings(max_examples=12, deadline=None)
+@given(d=st.integers(1, 2), thetas=st.tuples(*[st.floats(0.5, 2.0)] * 2),
+       grid=st.tuples(*[st.sampled_from((8, 16))] * 2),
+       coupling=st.sampled_from((1.0, -1.0)), seed=st.integers(0, 2 ** 32 - 1))
+def test_trajectory_round_trip(tmp_path_factory, d, thetas, grid, coupling, seed):
+    geom = TorusGeometry(d, thetas[:d], grid[:d])
+    rng = np.random.default_rng(seed)
+    phi0 = SpectralField(geom, 0.1 * (rng.standard_normal(geom.grid)
+                                      + 1j * rng.standard_normal(geom.grid)))
+    traj = solve_nls(phi0, 0.05, 0.01, coupling=coupling)
+    path = tmp_path_factory.mktemp("trajectory") / "t.bin"
     write_trajectory(traj, path)
     back = read_trajectory(path)
     assert back.geometry == geom
-    assert back.coupling == -1.0
+    assert back.coupling == coupling
     assert np.array_equal(back.times, traj.times)
     # storage is double precision: the states come back bit for bit
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(traj.states, back.states))
-    path2 = tmp_path / "t2.bin"
+    path2 = path.with_name("t2.bin")
     write_trajectory(back, path2)
     assert path.read_bytes() == path2.read_bytes()
 
@@ -546,10 +576,21 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     # checked before any defect is printed
     ("verify lemma25 --m 7", "usage error: --m must be <= 6, not 7"),
     ("params table --d 3..2 --out r.csv", "usage error: --d range 3..2 is empty"),
+    ("bench trilinear --T 0 --out r.csv", "error: need T > 0, not 0"),
+    ("bench trilinear --T -1 --out r.csv", "error: need T > 0, not -1"),
+    # library errors: the dt/2 run needs more terms than the rank budget,
+    # and the time grid cannot resolve the forcing at T = 1
+    ("verify hierarchy --k 700 --T 0.2 --dt 0.1 --grid 8",
+     "error: operation needs 4202 terms, exceeding the rank budget of 4096"),
+    ("bench xsb-inhomogeneous --b 0.9 --beta 2 --mode 20 --levels 3 --out r.csv",
+     "error: xsb-inhomogeneous ratio at T=1 not resolved in time: "
+     "0.000720438 vs 0.293894 on refinement"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
-        "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d"])
+        "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d",
+        "trilinear-T-zero", "trilinear-T-negative", "hierarchy-rank-budget", "xsb-refinement"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
-    # a range that holds nothing to check or fit is a usage error, not a pass
+    # a range that holds nothing to check or fit is a usage error, not a
+    # pass; a library error is one `error:` line on stderr, not a traceback
     monkeypatch.chdir(tmp_path)
     assert main(args.split()) == 1
     assert capsys.readouterr() == ("", err + "\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nlslab.fl1d import (
+    DEFAULT_WINDOW,
     SpaceTimeField,
     bench_linear_homogeneous,
     bench_linear_inhomogeneous,
@@ -33,17 +34,17 @@ GEOM = TorusGeometry(1, (1.0,), (64,))
 
 def test_space_time_field_validation():
     with pytest.raises(ValueError):
-        SpaceTimeField(GEOM, 4.0, np.zeros((7, 64)))  # odd time count
+        SpaceTimeField(GEOM, np.zeros((7, 64)))  # odd time count
     with pytest.raises(ValueError):
-        SpaceTimeField(GEOM, 4.0, np.zeros((8, 32)))  # wrong mode count
+        SpaceTimeField(GEOM, np.zeros((8, 32)))  # wrong mode count
     with pytest.raises(ValueError):
-        SpaceTimeField(TorusGeometry(2, (1.0, 1.0), (8, 8)), 4.0, np.zeros((8, 8)))
+        SpaceTimeField(TorusGeometry(2, (1.0, 1.0), (8, 8)), np.zeros((8, 8)))
 
 
 def test_xsb_r2_unweighted_is_spacetime_l2():
     # the discrete transform is unitary in this normalization, so the
     # s = b = 0, r = 2 norm equals the time-grid Riemann sum of ||u(t)||^2
-    u = free_wave(mode_field(GEOM, (3,)), 0.5, window=4.0, ntimes=256)
+    u = free_wave(mode_field(GEOM, (3,)), 0.5, ntimes=256)
     got = xsb_norm(u, 0.0, 0.0, 2.0)
     cut = time_cutoff(u.times / 0.5)
     want = math.sqrt(u.dt * np.sum(cut ** 2) * GEOM.volume)
@@ -59,7 +60,7 @@ def test_free_wave_concentrates_at_parabola():
     on = xsb_norm(u, 0.0, 1.0, 2.0)
     c = np.zeros((u.ntimes, 64), dtype=np.complex128)
     c[:, 5] = time_cutoff(u.times / 0.5)
-    off = xsb_norm(SpaceTimeField(GEOM, u.window, c), 0.0, 1.0, 2.0)
+    off = xsb_norm(SpaceTimeField(GEOM, c), 0.0, 1.0, 2.0)
     assert on < 5.0 * base
     assert off > 5.0 * on
 
@@ -74,13 +75,13 @@ def test_time_cutoff_profile():
 
 def test_duhamel_wave_single_mode_analytic():
     # forcing e^{i n x} e^{-i t n^2} integrates to t e^{i n x} e^{-i t n^2}
-    n, T, window, ntimes = 3, 0.5, 4.0, 512
+    n, T, ntimes = 3, 0.5, 512
     lam = float(_freq_sq(GEOM)[n])
-    dt = 2.0 * window / ntimes
-    times = -window + dt * np.arange(ntimes)
+    dt = 2.0 * DEFAULT_WINDOW / ntimes
+    times = -DEFAULT_WINDOW + dt * np.arange(ntimes)
     c = np.zeros((ntimes, 64), dtype=np.complex128)
     c[:, n] = np.exp(-1j * times * lam)
-    out = duhamel_wave(SpaceTimeField(GEOM, window, c), T)
+    out = duhamel_wave(SpaceTimeField(GEOM, c), T)
     cut = time_cutoff(times / T)
     expect = cut * times * np.exp(-1j * times * lam)
     assert np.abs(out.coeffs[:, n] - expect).max() < 1e-12

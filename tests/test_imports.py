@@ -1,4 +1,5 @@
-"""No module of the package or of its tests imports a name it never uses."""
+"""No module of the package or of its tests imports a name it never uses,
+and the package defines no private top-level name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,55 @@ def test_no_unused_imports():
     unused = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
               for p in files for line, name in _unused_imports(p.read_text())]
     assert unused == []
+
+
+def _private_definitions(source):
+    """(line, name) of every private function, class or constant that
+    source defines at its top level; dunder names are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(source):
+    """Every name that source reads: bare names, attributes and imported names."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_private_checker_rules():
+    source = ("__all__ = ['f']\n"
+              "_A = 1\n"
+              "_B: int = 2\n"
+              "def _f():\n"
+              "    return _A + mod._g\n"
+              "class _C:\n"
+              "    _D = 3\n"
+              "def f():\n"
+              "    _E = _f\n")
+    assert _private_definitions(source) == [(2, "_A"), (3, "_B"), (4, "_f"), (6, "_C")]
+    assert {"_A", "_f", "_g"} <= _references(source)
+    assert not {"_B", "_C", "_E"} & _references(source)
+
+
+def test_no_unreferenced_private_definitions():
+    # a private helper that nothing in the package reads is dead code,
+    # even when a test still calls it
+    files = sorted((ROOT / "src" / "nlslab").glob("*.py"))
+    refs = set().union(*(_references(p.read_text()) for p in files))
+    dead = ["%s:%d %s" % (p.relative_to(ROOT), line, name) for p in files
+            for line, name in _private_definitions(p.read_text()) if name not in refs]
+    assert dead == []

@@ -37,7 +37,6 @@ from nlslab.torus import (
     sobolev_norm,
     truncate_field,
     zero_block_bump,
-    zero_field,
 )
 
 GEOMS = [
@@ -148,24 +147,6 @@ def test_shell_indices_origin_and_halfopen():
     for n in range(1, 8):
         assert sh[n] == n + 1
         assert sh[-n % 16] == n + 1
-
-
-def test_partition_of_unity_and_orthogonality():
-    for geom in GEOMS:
-        f = _random_field(geom, 3)
-        total = zero_field(geom)
-        for N in dyadic_blocks(geom):
-            total = total + dyadic_project(f, N)
-        assert np.abs(total.coeffs - f.coeffs).max() < 1e-12
-        blocks = dyadic_blocks(geom)
-        for N in blocks[:3]:
-            pf = dyadic_project(f, N)
-            # idempotent
-            assert np.abs(dyadic_project(pf, N).coeffs - pf.coeffs).max() < 1e-12
-        # orthogonality of distinct blocks
-        a = dyadic_project(f, blocks[0])
-        b = dyadic_project(f, blocks[1])
-        assert abs(inner_product(a, b)) < 1e-12
 
 
 def test_smooth_projector_reproduces_sharp_block():
@@ -302,6 +283,21 @@ _GEOMETRIES = st.builds(lambda d, thetas, grid: TorusGeometry(d, thetas[:d], gri
                         st.tuples(*[st.sampled_from((4, 6, 8))] * 2))
 
 
+@settings(max_examples=30, deadline=None)
+@given(geom=_GEOMETRIES, seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_of_unity_and_orthogonality(geom, seed):
+    # each mode lies in exactly one sharp block, on which the smoothed
+    # projector's multiplier is exactly 1, so every identity is bitwise
+    f = _random_field(geom, seed)
+    blocks = dyadic_blocks(geom)
+    parts = [dyadic_project(f, N) for N in blocks]
+    assert np.array_equal(sum(p.coeffs for p in parts), f.coeffs)
+    for i, (N, p) in enumerate(zip(blocks, parts)):
+        assert np.array_equal(dyadic_project(p, N).coeffs, p.coeffs)
+        assert np.array_equal(smooth_dyadic_project(p, N).coeffs, p.coeffs)
+        assert all(inner_product(p, q) == 0.0 for q in parts[i + 1:])
+
+
 def _shifted_embed(c, big):
     # the centred construction: fftshift, place in the middle, ifftshift
     out = np.zeros(big, dtype=np.complex128)
@@ -317,9 +313,9 @@ def _shifted_extract(c, small):
 
 
 @settings(max_examples=40, deadline=None)
-@given(geom=_GEOMETRIES, pad=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+@given(geom=_GEOMETRIES, pad=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_band_copies_match_the_shifted_construction(geom, pad, seed):
-    big = geom.padded(pad)
+    big = geom.padded(pad)  # pad 1 is the equal grid: a copy of every mode
     f, g = _random_field(geom, seed), _random_field(big, seed)
     up = truncate_field(f, big)
     assert np.array_equal(up.coeffs, _shifted_embed(f.coeffs, big.grid))
