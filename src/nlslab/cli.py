@@ -163,6 +163,9 @@ def _verify_duhamel(args):
 
 
 def _verify_hierarchy(args):
+    # the term counts follow from k and T/dt: check each run's before solving any
+    for dt in (args.dt, args.dt / 2):
+        _hier.check_defect_budget(args.k, int(round(args.T / dt)))
     geom, phi0 = _random_initial(args.d, args.grid, args.block, args.seed)
     residuals = _halving_runs(phi0, args,
                               lambda traj: _hier.hierarchy_duhamel_residual(traj, args.k))

@@ -7,7 +7,9 @@ products, term = (coefficient, k ket factors, k bra factors), with kernel
     gamma(x_1..x_k; x'_1..x'_k) = sum_m c_m prod_j f_{m,j}(x_j) conj(g_{m,j}(x'_j)).
 
 Dense order-k kernels are never formed outside small-grid oracle paths; trace
-norms come from a streamed QR of Khatri-Rao products (trace_norms).
+norms come from a streamed QR of Khatri-Rao products (trace_norms), in which
+the kets of terms with one coefficient and bra, or the bras of terms with one
+coefficient and ket, are summed and reduced as one column.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "dense_trace_norm",
     "hierarchy_duhamel_residual",
     "hierarchy_defect_matrix",
+    "check_defect_budget",
     "default_zeta",
 ]
 
@@ -192,51 +195,105 @@ def _truncated_rows(X):
 
 
 def _khatri_rao_rows(T, V):
-    """Coordinates of the columns T[:, i] (x) V[:, i] from the R-factor of
-    their rows T[a] * V[b], accumulated by QR in blocks of about 2R rows so
-    that the len(T) * len(V) rows are never all formed (TSQR)."""
-    R = T.shape[1]
-    step = max(1, 2 * R // max(1, len(V)))
+    """Coordinates of the columns sum_i T[i][:, c] (x) V[i][:, c], each a
+    sum of Khatri-Rao products, from the R-factor of their rows
+    sum_i T[i][a] * V[i][b], accumulated by QR in blocks of about 2R rows so
+    that the len(T[0]) * len(V[0]) rows are never all formed (TSQR)."""
+    R = T[0].shape[1]
+    step = max(1, 2 * R // max(1, len(V[0])))
+
+    def block(a):
+        rows = T[0][a:a + step, None, :] * V[0][None, :, :]
+        for t, v in zip(T[1:], V[1:]):
+            rows += t[a:a + step, None, :] * v[None, :, :]
+        return rows.reshape(-1, R)
+
     acc = np.zeros((0, R), dtype=np.complex128)
-    for a in range(0, len(T), step):
-        rows = (T[a:a + step, None, :] * V[None, :, :]).reshape(-1, R)
-        acc = np.linalg.qr(np.concatenate([acc, rows]), mode="r")
+    for a in range(0, len(T[0]), step):
+        # a block lives only until it is concatenated: neither the QR's own
+        # copy nor the SVD of the R-factor holds it
+        acc = np.linalg.qr(np.concatenate([acc, block(a)]), mode="r")
     return _truncated_rows(acc)
+
+
+def _summed_terms(terms):
+    """terms (c, ket, bra) as (c, kets, bras), whose sides are sums: terms
+    with the same coefficient and bra add their kets; of the rest, those
+    with the same coefficient and ket add their bras.  Sums of one remain.
+
+    Sums come in the order of their first terms.  The terms of a defect
+    cancel to about 1e-8 of their mass, and the reduced matrix adds them
+    in this order: every ket sum before every bra sum moved trace norms by
+    2e-14 of the term mass (`verify hierarchy --k 2 --grid 64 --dt 1e-3`)."""
+    by_bra, sums = {}, {}
+    for c, ket, bra in terms:
+        by_bra.setdefault((c, bra), []).append(ket)
+    for c, ket, bra in terms:
+        kets = by_bra[c, bra]
+        if len(kets) > 1:
+            sums.setdefault((c, None, bra), (c, kets, [bra]))
+        else:
+            sums.setdefault((c, ket, None), (c, [ket], []))[2].append(bra)
+    return list(sums.values())
 
 
 def _reduced_matrices(gammas):
     """Each term list as an r x r matrix T_kets diag(c) T_bras^H in one
-    orthonormal basis of the ket and bra columns of all the lists.
+    orthonormal basis of the summed ket and bra sides of all the lists
+    (_summed_terms), so a side that sums products is one column.
 
-    Factors are the same when their coefficient bytes are.  Stage j takes
-    each distinct (column prefix of j slots, factor in slot j + 1) to the
-    coordinates of its Khatri-Rao product, so each prefix is reduced once."""
+    Factors are the same when their coefficient bytes are, and sides when
+    their products are.  Stage j takes each distinct (column prefix of j
+    slots, factor in slot j + 1) of the products to the coordinates of its
+    Khatri-Rao product, so each prefix is reduced once; the last stage
+    reduces each side, a sum of products, as one column, holding one matrix
+    per place in the longest sum (k for the collision sums of a defect)."""
     vol = next(g.geometry.volume for g in gammas if g.terms)
-    index, by_bytes = {}, {}
-    for g in gammas:
-        for _, kets, bras in g.terms:
-            for f in kets + bras:
-                if id(f) not in index:
-                    index[id(f)] = by_bytes.setdefault(f.coeffs.tobytes(), len(by_bytes))
+    index, by_bytes, columns, products = {}, {}, {}, {}
+
+    def factor(f):
+        if id(f) not in index:
+            index[id(f)] = by_bytes.setdefault(f.coeffs.tobytes(), len(by_bytes))
+        return index[id(f)]
+
+    def column(side):
+        return columns.setdefault(tuple(sorted(side)), len(columns))
+
+    lists = [[(c, column(kets), column(bras)) for c, kets, bras in _summed_terms(
+                 [(c, tuple(map(factor, kets)), tuple(map(factor, bras)))
+                  for c, kets, bras in g.terms])]
+             for g in gammas]
     factors = np.frombuffer(b"".join(by_bytes), dtype=np.complex128).reshape(len(by_bytes), -1)
-    # one row per column: the ket of term m of the lists, in order, then its bra
-    slots = np.array([[index[id(f)] for f in t[side]]
-                      for g in gammas for t in g.terms for side in (1, 2)])
+    # row c: the products summed in column c, padded with -1
+    width = max(map(len, columns))
+    members = np.array([[products.setdefault(p, len(products)) for p in side]
+                        + [-1] * (width - len(side)) for side in columns])
+    slots = np.array(list(products))
+
+    def summands(X, ids):
+        """X[:, ids[p]] for the i-th product p of every column, for each i;
+        a zero column past the end of a sum."""
+        X, ids = np.pad(X, ((0, 0), (0, 1))), np.append(ids, -1)
+        return [X[:, ids[m]] for m in members.T]
+
     F = _truncated_rows(factors.T * math.sqrt(vol))
     T, ids = F, slots[:, 0]
-    for j in range(1, slots.shape[1]):
+    for j in range(1, slots.shape[1] - 1):
         pairs, ids = np.unique(np.stack([ids, slots[:, j]], axis=1), axis=0,
                                return_inverse=True)
-        T = _khatri_rao_rows(T[:, pairs[:, 0]], F[:, pairs[:, 1]])
-    ids, ends = ids.ravel(), np.cumsum([0] + [2 * g.rank for g in gammas])
-    return [(T[:, ids[a:b:2]] * [t[0] for t in g.terms]) @ T[:, ids[a + 1:b:2]].conj().T
-            for g, a, b in zip(gammas, ends, ends[1:])]
+        T = _khatri_rao_rows([T[:, pairs[:, 0]]], [F[:, pairs[:, 1]]])
+    last = summands(F, slots[:, -1])
+    T = sum(last) if slots.shape[1] == 1 else _khatri_rao_rows(summands(T, ids.ravel()), last)
+    return [(T[:, [t[1] for t in s]] * [t[0] for t in s]) @ T[:, [t[2] for t in s]].conj().T
+            for s in lists]
 
 
 def trace_norms(gammas):
     """Trace (nuclear) norms of term lists of one order and geometry over
     one orthonormal basis of all their columns, so lists that share factors
-    share its cost; accurate to rounding of the term mass at every size."""
+    share its cost; accurate to rounding of the term mass at every size.
+    Terms that share a coefficient and one side are one term whose other
+    side, their sum, is reduced as one column (_reduced_matrices)."""
     if not any(g.terms for g in gammas):
         return [0.0] * len(gammas)
     return [float(np.linalg.svd(A, compute_uv=False).sum())
@@ -289,13 +346,20 @@ def default_zeta(d):
     return float(admissible_parameters(d).zeta0)
 
 
+def check_defect_budget(k, m, budget=DEFAULT_RANK_BUDGET):
+    """Raise RankBudgetError unless the order-k defect at stored time index m,
+    two tensor powers and 2k collision terms per stored time 0..m, fits the
+    budget; the count follows from k and m, so it can be checked before any
+    trajectory is solved."""
+    _check_budget(2 + (m + 1) * 2 * k, budget)
+
+
 def _pulled_back_collisions(traj, k, m, budget):
     """The mild-hierarchy integrand in the interaction picture,
     U^{(k)}(-s_j) B_{k+1} gamma^{(k+1)}(s_j) for stored times j = 0..m: one
     collision_full per stored time, shared by every defect that needs it.
-    The budget is checked first against the 2 + (m+1) 2k terms of the defect
-    at t_m."""
-    _check_budget(2 + (m + 1) * 2 * k, budget)
+    The budget is checked first (check_defect_budget)."""
+    check_defect_budget(k, m, budget)
     return [
         hierarchy_free_evolve(
             collision_full(tensor_power(traj.states[j], k + 1), budget=budget),

@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -578,21 +579,28 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     ("params table --d 3..2 --out r.csv", "usage error: --d range 3..2 is empty"),
     ("bench trilinear --T 0 --out r.csv", "error: need T > 0, not 0"),
     ("bench trilinear --T -1 --out r.csv", "error: need T > 0, not -1"),
-    # library errors: the dt/2 run needs more terms than the rank budget,
-    # and the time grid cannot resolve the forcing at T = 1
+    # library errors: a run needs more terms than the rank budget (the dt
+    # run, then the dt/2 run, both before either is solved), and the time
+    # grid cannot resolve the forcing at T = 1
     ("verify hierarchy --k 700 --T 0.2 --dt 0.1 --grid 8",
      "error: operation needs 4202 terms, exceeding the rank budget of 4096"),
+    ("verify hierarchy --k 3 --dt 1e-3",
+     "error: operation needs 6008 terms, exceeding the rank budget of 4096"),
     ("bench xsb-inhomogeneous --b 0.9 --beta 2 --mode 20 --levels 3 --out r.csv",
      "error: xsb-inhomogeneous ratio at T=1 not resolved in time: "
      "0.000720438 vs 0.293894 on refinement"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
         "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d",
-        "trilinear-T-zero", "trilinear-T-negative", "hierarchy-rank-budget", "xsb-refinement"])
+        "trilinear-T-zero", "trilinear-T-negative", "hierarchy-rank-budget",
+        "hierarchy-rank-budget-dt2", "xsb-refinement"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
     # a range that holds nothing to check or fit is a usage error, not a
-    # pass; a library error is one `error:` line on stderr, not a traceback
+    # pass; a library error is one `error:` line on stderr, not a traceback;
+    # each is found before any long run
     monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
     assert main(args.split()) == 1
+    assert time.perf_counter() - start < 2.0
     assert capsys.readouterr() == ("", err + "\n")
     assert list(tmp_path.iterdir()) == []
 

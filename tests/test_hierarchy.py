@@ -1,6 +1,8 @@
 """Factorized density matrices: collisions, evolution, trace norms,
 and the mild-hierarchy residual."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -92,6 +94,16 @@ def test_trace_norm_matches_dense_oracle():
             gamma = _near_cancelling_list(k, 10 * k + seed)
             a, b = trace_norm(gamma), dense_trace_norm(gamma)
             assert abs(a - b) < 1e-10 * b, (k, seed, a, b)
+    # collision defects on the 8-point circle, and the halves of a collision
+    # in which the k kets, or the k bras, of one coefficient add
+    traj = solve_nls(random_shell_field(GEOM, 2, 5), 0.1, 0.01)
+    for k in (1, 2, 3):
+        coll = collision_full(tensor_power(traj.states[4], k + 1))
+        for gamma in (hierarchy_defect_matrix(traj, k, 10),
+                      FactorizedDensityMatrix(k, coll.terms[0::2]),
+                      FactorizedDensityMatrix(k, coll.terms[1::2])):
+            a, b = trace_norm(gamma), dense_trace_norm(gamma)
+            assert abs(a - b) < 1e-10 * b, (k, gamma.rank, a, b)
 
 
 def _checkpoint_defects(k):
@@ -119,6 +131,36 @@ def test_truncated_and_untruncated_coordinates_agree(monkeypatch):
         monkeypatch.undo()
         for a, b, g in zip(truncated, full, gammas):
             assert abs(a - b) <= 1e-14 * _term_mass(g), (k, a, b)
+
+
+def test_last_stage_reduces_each_summed_side_once(monkeypatch):
+    # the k collision terms of a stored time share a coefficient and the bra
+    # (B, B, B), and their partners the negated coefficient and that ket, so
+    # the last stage reduces 2 columns per stored time: the summed side and
+    # (B, B, B); the tensor powers of phi0 and U(-t_m) phi(t_m) are the
+    # (B, B, B) of stored times 0 and m
+    widths = []
+
+    def spy(T, V, khatri_rao_rows=hierarchy_module._khatri_rao_rows):
+        widths.append(np.shape(T)[-1])
+        return khatri_rao_rows(T, V)
+
+    monkeypatch.setattr(hierarchy_module, "_khatri_rao_rows", spy)
+    trace_norms(_checkpoint_defects(3))
+    assert widths[-1] == 2 * 51
+
+
+def test_trace_norms_peak_memory():
+    # the k = 3 checkpoints peak at 6.9 MiB when every product is its own
+    # column of the last stage, and at 3.2 MiB with summed sides
+    gammas = _checkpoint_defects(3)
+    tracemalloc.start()
+    try:
+        trace_norms(gammas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_trace_norms_share_one_basis_and_match_single_calls():
