@@ -45,6 +45,9 @@ __all__ = [
     "bench_sobolev_embedding",
 ]
 
+STRICHARTZ_RANDOM_NT = 32  # time samples of the random rows of bench_strichartz
+TRILINEAR_NT = 17  # and of bench_trilinear
+
 
 @dataclass(frozen=True)
 class AdmissibleParameters:
@@ -275,10 +278,10 @@ def _spacetime_lp_mean(f, p, nt):
     return acc / nt
 
 
-def bench_strichartz(d, p, N_list, trials, seed, nt_random=32):
+def bench_strichartz(d, p, N_list, trials, seed):
     """max_f ||e^{it Lap} f||_{L^p([0,1] x torus)} / ||f||_{L^2} per block N.
 
-    Random rows use nt_random time samples.  The extremizer rows get
+    Random rows use STRICHARTZ_RANDOM_NT time samples.  The extremizer rows get
     nt = 2 N^2, clamped to [128, 8192]: the `ones` and `bell` data
     concentrate at t = 0 on a cell of width ~1/N for a time ~1/N^2, so
     their time grid is refined with N to keep the quadrature honest in both
@@ -292,7 +295,7 @@ def bench_strichartz(d, p, N_list, trials, seed, nt_random=32):
 
     def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
-            nt = nt_random if kind == "random" else min(8192, max(128, 2 * N * N))
+            nt = STRICHARTZ_RANDOM_NT if kind == "random" else min(8192, max(128, 2 * N * N))
             yield kind, _spacetime_lp_mean(f, p, nt) ** (1.0 / p) / l2_norm(f)
 
     rep = _sweep("strichartz", {"d": d, "p": p, "target_slope": d / 2.0 - (d + 2.0) / p},
@@ -373,13 +376,13 @@ def _trilinear_ratio(phis, eta, zeta, T, nt):
     return lhs / rhs
 
 
-def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0, nt=17):
+def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
     """Boundedness sweep of the trilinear estimate over equal dyadic blocks:
     all three factors live on the block N.
 
     The all-ones extremizer concentrates at t = 0 on a time scale ~1/N^2, so
-    its row refines the quadrature grid with N; the base nt is used for the
-    randomized rows, whose integrand has no comparable peak.
+    its row refines the quadrature grid with N; the base TRILINEAR_NT is used
+    for the randomized rows, whose integrand has no comparable peak.
 
     Every product is evaluated exactly, on the pad-3 grid.  The `ones` field
     is built once per block and passed as all three factors, so it is
@@ -398,9 +401,9 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0, nt=17):
     def ratios(geom, N, rng):
         for _ in range(trials):
             phis = [random_shell_field(geom, N, rng) for _ in range(3)]
-            yield "max", _trilinear_ratio(phis, eta, zeta, T, nt)
+            yield "max", _trilinear_ratio(phis, eta, zeta, T, TRILINEAR_NT)
         ones = shell_extremizer_field(geom, N, "ones")
-        nt_ex = max(nt, min(2048, 2 * N ** 2) + 1)
+        nt_ex = max(TRILINEAR_NT, min(2048, 2 * N ** 2) + 1)
         yield "max", _trilinear_ratio([ones] * 3, eta, zeta, T, nt_ex)
 
     return _sweep("trilinear", {"d": d, "eta": eta, "zeta": zeta, "T": T},

@@ -205,6 +205,8 @@ def _verify_gauge(args):
 
 
 def _verify_expansion(args):
+    for dt in (args.dt, args.dt / 2):
+        _comb.check_expansion_budget(args.k, args.r, int(round(args.T / dt)))
     geom, phi0 = _random_initial(1, args.grid, args.block, args.seed)
     vals = _halving_runs(phi0, args,
                          lambda traj: _comb.expansion_consistency(traj, args.k, args.r))

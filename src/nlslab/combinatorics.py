@@ -4,6 +4,10 @@ consistency of the iterated mild-hierarchy expansion.
 A collision map sigma records, for each of r successive collisions, which
 earlier particle the new one attaches to: sigma(j) in {1, ..., j-1} for
 j = k+1, ..., k+r.  There are exactly k (k+1) ... (k+r-1) of them.
+
+The expansion's defects are assembled and weighted by the hierarchy module
+(its Duhamel terms and defect norms); this module adds the depth-2 integrand
+and the closed-form term count checked before any of it is built.
 """
 
 from __future__ import annotations
@@ -16,18 +20,13 @@ import numpy as np
 
 from .hierarchy import (
     FactorizedDensityMatrix,
-    apply_sobolev_op,
     collision_full,
-    default_zeta,
-    hierarchy_defect_matrix,
     hierarchy_free_evolve,
-    tensor_power,
-    trace_norm,
     _check_budget,
-    _interaction_defect,
+    _defect_norms,
+    _duhamel_terms,
     _pulled_back_collisions,
 )
-from .solver import simpson_weights
 
 __all__ = [
     "CollisionMap",
@@ -35,6 +34,7 @@ __all__ = [
     "collision_map_count",
     "verify_product_identity",
     "expansion_consistency",
+    "check_expansion_budget",
     "ENUMERATION_BUDGET",
     "EXPANSION_BUDGET",
     "PRODUCT_IDENTITY_MAX_M",
@@ -133,39 +133,35 @@ def verify_product_identity(m, F, G, t):
     return abs(lhs - rhs)
 
 
-def expansion_consistency(traj, k, r):
-    """Trace-norm defect, under S^{(k,-zeta)} with zeta = default_zeta(d), of
-    the iterated mild-hierarchy expansion at the final stored time.
-
-    r = 1 is the mild equation itself and delegates to the same defect matrix
-    as hierarchy_duhamel_residual; r = 2 substitutes the equation into itself
-    once, with iterated Simpson quadrature over the simplex t >= t1 >= t2.
-    """
+def check_expansion_budget(k, r, m):
+    """Raise ValueError unless r is 1 or 2, and RankBudgetError unless the
+    order-k depth-r defect at stored time index m fits EXPANSION_BUDGET:
+    2 + 2k (m+1) terms at r = 1; at r = 2, 2k per term of every g(t_i), 1 at
+    i = 0 and 1 + 2(k+1)(i+1) after.  Every list built on the way is shorter."""
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
-    zeta = default_zeta(traj.geometry.d)
+    inner = 1 + m if r == 1 else 1 + m + (k + 1) * m * (m + 3)
+    _check_budget(2 + 2 * k * inner, EXPANSION_BUDGET)
+
+
+def expansion_consistency(traj, k, r):
+    """Trace-norm defect, under S^{(k,-zeta)} with zeta = default_zeta(d), of
+    the iterated mild-hierarchy expansion at the final stored time, whose
+    term count is checked first (check_expansion_budget).  r = 1 is the
+    defect of hierarchy_duhamel_residual; r = 2 substitutes the equation into
+    itself once, with iterated Simpson quadrature over t >= t1 >= t2."""
     M = len(traj.times) - 1
+    check_expansion_budget(k, r, M)
     if M < 2:
         raise ValueError("need at least 3 time points")
-    if r == 1:
-        defect = hierarchy_defect_matrix(traj, k, M, budget=EXPANSION_BUDGET)
-        return trace_norm(apply_sobolev_op(defect, -zeta))
-    # In the interaction picture (the defect conjugated by U^{(k)}(-t), which
-    # keeps its weighted trace norm) the substituted equation is the mild
-    # defect with integrand U(-t1) B_{k+1} U(t1) g(t1) at each outer node t1,
-    #   g(t1) = gamma0^{(k+1)} - i mu sum_j w'_j I_j,
-    # with I_j = U(-t2) B_{k+2} gamma^{(k+2)}(t2) the order-(k+1) mild
-    # integrand at t2 = t_j, built once per stored time.
-    inner = _pulled_back_collisions(traj, k + 1, M, EXPANSION_BUDGET)
-    outer = []
-    for i in range(M + 1):
-        g = tensor_power(traj.states[0], k + 1).terms
-        # the inner integral over [0, t1] is empty at i = 0
-        for wj, coll in zip(simpson_weights(i, traj.dt), inner if i else []):
-            g += [(-1j * traj.coupling * wj * c, ke, br) for c, ke, br in coll.terms]
-        t1 = float(traj.times[i])
-        g = hierarchy_free_evolve(FactorizedDensityMatrix(k + 1, g), t1)
-        outer.append(hierarchy_free_evolve(collision_full(g, budget=EXPANSION_BUDGET), -t1))
-    defect = _interaction_defect(traj, k, M, outer)
-    _check_budget(defect.rank, EXPANSION_BUDGET)
-    return trace_norm(apply_sobolev_op(defect, -zeta))
+    integrand = _pulled_back_collisions(traj, k + r - 1, M)
+    if r == 2:
+        # In the interaction picture the substituted equation is the mild
+        # defect with integrand U(-t1) B_{k+1} U(t1) g(t1) at each outer node
+        # t1, g(t1) = gamma0^{(k+1)} - i mu sum_j w'_j I_j, where the I_j are
+        # the order-(k+1) integrand above, built once per stored time.
+        gs = [FactorizedDensityMatrix(k + 1, _duhamel_terms(traj, k + 1, i, integrand))
+              for i in range(M + 1)]
+        integrand = [hierarchy_free_evolve(collision_full(hierarchy_free_evolve(g, t1)), -t1)
+                     for g, t1 in zip(gs, map(float, traj.times))]
+    return _defect_norms(traj, k, [M], integrand)[0]

@@ -77,10 +77,10 @@ class FactorizedDensityMatrix:
         return self.terms[0][1][0].geometry if self.terms else None
 
 
-def _check_budget(n, budget):
-    if n > budget:
+def _check_budget(n, limit):
+    if n > limit:
         raise RankBudgetError(
-            "operation needs %d terms, exceeding the rank budget of %d" % (n, budget)
+            "operation needs %d terms, exceeding the rank budget of %d" % (n, limit)
         )
 
 
@@ -105,7 +105,7 @@ def _once_per_object(fn):
     return once
 
 
-def _collisions(gamma, j, budget):
+def _collisions(gamma, j):
     """collision_single(gamma, j), or collision_full(gamma) for j None, in
     one loop that forms each distinct pointwise product once per call,
     keyed by the identity of its factor objects: on a tensor power the ket
@@ -116,7 +116,6 @@ def _collisions(gamma, j, budget):
     if j is not None and not 1 <= j <= k:
         raise ValueError("j must satisfy 1 <= j <= k")
     slots = range(k) if j is None else (j - 1,)
-    _check_budget(2 * len(slots) * gamma.rank, budget)
     contract = _once_per_object(lambda f, g: pointwise_product(f, conjugate(g)))
     times = _once_per_object(pointwise_product)
     out = []
@@ -130,7 +129,7 @@ def _collisions(gamma, j, budget):
     return FactorizedDensityMatrix(k, out)
 
 
-def collision_single(gamma, j, budget=DEFAULT_RANK_BUDGET):
+def collision_single(gamma, j):
     """B_{j,k+1}: contract particle k+1 against particle j (1-based j <= k).
 
     On each factorized term the delta-difference kernel acts exactly by
@@ -139,13 +138,13 @@ def collision_single(gamma, j, budget=DEFAULT_RANK_BUDGET):
     pair is dropped and the rank doubles.  Each distinct product is formed
     once per call (_collisions).
     """
-    return _collisions(gamma, j, budget)
+    return _collisions(gamma, j)
 
 
-def collision_full(gamma, budget=DEFAULT_RANK_BUDGET):
+def collision_full(gamma):
     """B_{k+1} = sum_{j=1}^k B_{j,k+1}, terms in j-major order; each distinct
     product is formed once for all j (_collisions)."""
-    return _collisions(gamma, None, budget)
+    return _collisions(gamma, None)
 
 
 def _map_factors(gamma, fn):
@@ -346,43 +345,48 @@ def default_zeta(d):
     return float(admissible_parameters(d).zeta0)
 
 
-def check_defect_budget(k, m, budget=DEFAULT_RANK_BUDGET):
+def check_defect_budget(k, m):
     """Raise RankBudgetError unless the order-k defect at stored time index m,
-    two tensor powers and 2k collision terms per stored time 0..m, fits the
-    budget; the count follows from k and m, so it can be checked before any
-    trajectory is solved."""
-    _check_budget(2 + (m + 1) * 2 * k, budget)
+    two tensor powers and, for m > 0, 2k collision terms per stored time
+    0..m, fits DEFAULT_RANK_BUDGET: checked before any term is built."""
+    _check_budget(2 + 2 * k * (m + 1 if m else 0), DEFAULT_RANK_BUDGET)
 
 
-def _pulled_back_collisions(traj, k, m, budget):
+def _pulled_back_collisions(traj, k, m):
     """The mild-hierarchy integrand in the interaction picture,
     U^{(k)}(-s_j) B_{k+1} gamma^{(k+1)}(s_j) for stored times j = 0..m: one
-    collision_full per stored time, shared by every defect that needs it.
-    The budget is checked first (check_defect_budget)."""
-    check_defect_budget(k, m, budget)
-    return [
-        hierarchy_free_evolve(
-            collision_full(tensor_power(traj.states[j], k + 1), budget=budget),
-            -float(traj.times[j]))
-        for j in range(m + 1)
-    ]
+    collision_full per stored time, shared by every defect that needs it."""
+    return [hierarchy_free_evolve(collision_full(tensor_power(traj.states[j], k + 1)),
+                                  -float(traj.times[j])) for j in range(m + 1)]
+
+
+def _duhamel_terms(traj, k, m, integrand):
+    """Terms of gamma0^{(k)} - i mu * Simpson_j w_j integrand[j] over stored
+    times j = 0..m, in that order; the integral over [0, t_0] is empty."""
+    terms = tensor_power(traj.states[0], k).terms
+    for wj, coll in zip(simpson_weights(m, traj.dt), integrand if m else []):
+        terms += [(-1j * traj.coupling * wj * c, ke, br) for c, ke, br in coll.terms]
+    return terms
 
 
 def _interaction_defect(traj, k, m, integrand):
-    """U^{(k)}(-t_m) gamma^{(k)}(t_m) - gamma0^{(k)}
-    + i mu * Simpson_j w_j integrand[j], over stored times j = 0..m."""
+    """U^{(k)}(-t_m) gamma^{(k)}(t_m) minus the _duhamel_terms at t_m."""
     pulled = free_evolve(traj.states[m], -float(traj.times[m]))
-    terms = tensor_power(pulled, k).terms
-    terms += [(-c, ke, br) for c, ke, br in tensor_power(traj.states[0], k).terms]
-    for wj, coll in zip(simpson_weights(m, traj.dt), integrand):
-        scale = 1j * traj.coupling * wj
-        terms += [(scale * c, ke, br) for c, ke, br in coll.terms]
-    return FactorizedDensityMatrix(k, terms)
+    return FactorizedDensityMatrix(k, tensor_power(pulled, k).terms + [
+        (-c, ke, br) for c, ke, br in _duhamel_terms(traj, k, m, integrand)])
 
 
-def hierarchy_defect_matrix(traj, k, m, budget=DEFAULT_RANK_BUDGET):
+def _defect_norms(traj, k, ms, integrand):
+    """Trace norms under S^{(k,-zeta)}, zeta = default_zeta(d), of the defects
+    at the stored time indices ms, over one basis (trace_norms)."""
+    zeta = default_zeta(traj.geometry.d)
+    return trace_norms([apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta)
+                        for m in ms])
+
+
+def hierarchy_defect_matrix(traj, k, m):
     """Mild-hierarchy defect at stored time index m in the interaction
-    picture, as a term list:
+    picture, as a term list whose rank is checked first (check_defect_budget):
 
         U^{(k)}(-t_m) gamma^{(k)}(t_m) - gamma0^{(k)}
             + i mu * Simpson_j w_j U^{(k)}(-s_j) B_{k+1} gamma^{(k+1)}(s_j)
@@ -390,29 +394,22 @@ def hierarchy_defect_matrix(traj, k, m, budget=DEFAULT_RANK_BUDGET):
     This is U^{(k)}(-t_m) applied to the lab-frame defect gamma^{(k)}(t_m) -
     U^{(k)}(t_m) gamma0^{(k)} + i mu int U^{(k)}(t_m - s) B_{k+1} gamma^{(k+1)}(s);
     the conjugation is unitary and commutes with S^{(k,alpha)}, so trace
-    norms, weighted or not, are those of the lab-frame defect.
-    """
-    integrand = _pulled_back_collisions(traj, k, m, budget) if m else []
-    return _interaction_defect(traj, k, m, integrand)
+    norms, weighted or not, are those of the lab-frame defect."""
+    check_defect_budget(k, m)
+    return _interaction_defect(traj, k, m, _pulled_back_collisions(traj, k, m))
 
 
-def hierarchy_duhamel_residual(traj, k, budget=DEFAULT_RANK_BUDGET):
-    """Max over four checkpoint times of the trace norm of the mild-hierarchy
-    defect (hierarchy_defect_matrix) under the S^{(k,-zeta)} weighting,
-    zeta = default_zeta(d).
-
-    The defect is evaluated on four evenly spaced stored times, always
-    including the final one; the integral itself always uses the full stored
-    grid, whose integrand is built once and shared by every checkpoint, as
-    is the basis of their trace norms (trace_norms).
-    """
+def hierarchy_duhamel_residual(traj, k):
+    """Max of the trace norm of the mild-hierarchy defect (hierarchy_defect_matrix)
+    under S^{(k,-zeta)}, zeta = default_zeta(d), at four evenly spaced stored
+    times including the final one, whose rank is checked first.  The integral
+    uses the full stored grid; its integrand and the basis of the trace norms
+    are shared by the checkpoints (_defect_norms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     M = len(traj.times) - 1
     if M < 2:
         raise ValueError("need at least 3 time points")
-    integrand = _pulled_back_collisions(traj, k, M, budget)
-    zeta = default_zeta(traj.geometry.d)
-    return max(trace_norms(
-        [apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta)
-         for m in {int(round(i * M / 4)) for i in range(1, 5)}]))
+    check_defect_budget(k, M)
+    return max(_defect_norms(traj, k, {int(round(i * M / 4)) for i in range(1, 5)},
+                             _pulled_back_collisions(traj, k, M)))

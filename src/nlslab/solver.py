@@ -46,6 +46,8 @@ __all__ = [
     "simpson_weights",
 ]
 
+BLOW_UP_GUARD = 1e6  # solve_nls's limit on the growth of the H^1 norm
+
 
 class BlowUpError(RuntimeError):
     """H^1 norm exceeded the blow-up guard during integration."""
@@ -95,7 +97,7 @@ def _time_grid(T, dt):
     return np.linspace(0.0, nsteps * dt, nsteps + 1)
 
 
-def solve_nls(phi0, T, dt, coupling=1.0, guard_factor=1e6):
+def solve_nls(phi0, T, dt, coupling=1.0):
     """Integrate from phi0 over [0, T] with uniform step dt (dt divides T)."""
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
@@ -105,8 +107,8 @@ def solve_nls(phi0, T, dt, coupling=1.0, guard_factor=1e6):
     phi = phi0
     for _ in times[1:]:
         phi = strang_step(phi, dt, coupling)
-        if h1_0 > 0 and sobolev_norm(phi, 1.0) > guard_factor * h1_0:
-            raise BlowUpError("H^1 norm exceeded %g times its initial value" % guard_factor)
+        if h1_0 > 0 and sobolev_norm(phi, 1.0) > BLOW_UP_GUARD * h1_0:
+            raise BlowUpError("H^1 norm exceeded %g times its initial value" % BLOW_UP_GUARD)
         states.append(phi)
     return Trajectory(phi0.geometry, times, states, float(coupling))
 

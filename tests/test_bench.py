@@ -216,8 +216,9 @@ def test_spacetime_lp_mean_single_lambda_shortcut(monkeypatch):
     assert abs(got - _direct_spacetime_lp_mean(mixed, p, nt)) < 1e-5 * got
 
 
-def test_bench_strichartz_small_run():
-    rep = bench_strichartz(1, 8.0, (2, 4, 8), trials=2, seed=0, nt_random=8)
+def test_bench_strichartz_small_run(monkeypatch):
+    monkeypatch.setattr(bench_module, "STRICHARTZ_RANDOM_NT", 8)
+    rep = bench_strichartz(1, 8.0, (2, 4, 8), trials=2, seed=0)
     assert rep.name == "strichartz"
     assert math.isfinite(rep.slope)
     assert math.isfinite(rep.footer["extremizer_slope"])
@@ -310,7 +311,8 @@ def test_bench_trilinear_small_run(monkeypatch):
         return real_ratio(phis, *args)
 
     monkeypatch.setattr(bench_module, "_trilinear_ratio", spy)
-    rep = bench_trilinear(2, 0.25, 0.3, [2, 4], trials=1, seed=0, nt=5)
+    monkeypatch.setattr(bench_module, "TRILINEAR_NT", 5)
+    rep = bench_trilinear(2, 0.25, 0.3, [2, 4], trials=1, seed=0)
     assert [r[:3] for r in rep.rows] == [(2, 2, 2), (4, 4, 4)]
     assert all(r[3] > 0 for r in rep.rows)
     assert math.isnan(rep.slope)  # only two levels, no fit

@@ -586,13 +586,18 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
      "error: operation needs 4202 terms, exceeding the rank budget of 4096"),
     ("verify hierarchy --k 3 --dt 1e-3",
      "error: operation needs 6008 terms, exceeding the rank budget of 4096"),
+    ("verify expansion --dt 0.0025",
+     "error: operation needs 104644 terms, exceeding the rank budget of 100000"),
+    ("verify expansion --k 2 --dt 0.004",
+     "error: operation needs 124006 terms, exceeding the rank budget of 100000"),
     ("bench xsb-inhomogeneous --b 0.9 --beta 2 --mode 20 --levels 3 --out r.csv",
      "error: xsb-inhomogeneous ratio at T=1 not resolved in time: "
      "0.000720438 vs 0.293894 on refinement"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
         "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d",
         "trilinear-T-zero", "trilinear-T-negative", "hierarchy-rank-budget",
-        "hierarchy-rank-budget-dt2", "xsb-refinement"])
+        "hierarchy-rank-budget-dt2", "expansion-rank-budget-dt2",
+        "expansion-rank-budget-k2-dt2", "xsb-refinement"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
     # a range that holds nothing to check or fit is a usage error, not a
     # pass; a library error is one `error:` line on stderr, not a traceback;

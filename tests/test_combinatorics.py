@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from nlslab import combinatorics as combinatorics_module
+from nlslab import hierarchy as hierarchy_module
 from nlslab.combinatorics import (
     CollisionMap,
     collision_map_count,
@@ -85,6 +87,31 @@ def test_expansion_consistency_halves():
             traj = solve_nls(phi0, 0.2, dt)
             vals.append(expansion_consistency(traj, 1, r))
         assert vals[0] / vals[1] > 2.0, (r, vals)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_expansion_budget_counts_the_defect(monkeypatch, k, r):
+    # the closed form that check_expansion_budget checks is the rank of the
+    # defect whose trace norm is taken
+    counted, ranks = [], []
+    check = combinatorics_module._check_budget
+
+    def spy_check(n, limit):
+        counted.append(n)
+        check(n, limit)
+
+    def spy_norms(gammas):
+        ranks.extend(g.rank for g in gammas)
+        return [0.0] * len(gammas)
+
+    monkeypatch.setattr(combinatorics_module, "_check_budget", spy_check)
+    monkeypatch.setattr(hierarchy_module, "trace_norms", spy_norms)
+    phi0 = random_shell_field(GEOM, 2, 4)
+    for M in (2, 3, 5):
+        expansion_consistency(solve_nls(phi0, 0.01 * M, 0.01), k, r)
+    assert len(ranks) == 3
+    assert counted == ranks
 
 
 def test_expansion_rejects_r3():

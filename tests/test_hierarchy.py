@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nlslab import hierarchy as hierarchy_module
 from nlslab.hierarchy import (
-    DEFAULT_RANK_BUDGET,
     FactorizedDensityMatrix,
     RankBudgetError,
     apply_sobolev_op,
@@ -325,11 +324,17 @@ def test_sobolev_op_conventions():
     assert abs(g1.terms[0][1][0].coeffs[2] - expect) < 1e-12
 
 
-def test_rank_budget_enforced():
-    phi = _rand(GEOM, 10)
-    gamma = tensor_power(phi, 3)
-    with pytest.raises(RankBudgetError):
-        collision_full(gamma, budget=3)
+def test_rank_budget_enforced(monkeypatch):
+    # the defect at k = 3, m = 2 has 2 + 3 * 2k = 20 terms: a budget of 19
+    # refuses it before any collision is built; at 20 the build starts
+    monkeypatch.setattr(hierarchy_module, "collision_full", None)
+    traj = solve_nls(random_shell_field(GEOM32, 2, 3), 0.02, 0.01)
+    monkeypatch.setattr(hierarchy_module, "DEFAULT_RANK_BUDGET", 19)
+    with pytest.raises(RankBudgetError, match="needs 20 terms"):
+        hierarchy_defect_matrix(traj, 3, 2)
+    monkeypatch.setattr(hierarchy_module, "DEFAULT_RANK_BUDGET", 20)
+    with pytest.raises(TypeError):
+        hierarchy_defect_matrix(traj, 3, 2)
     with pytest.raises(RankBudgetError):
         dense_kernel(tensor_power(_rand(GEOM32, 0), 3))
 
@@ -387,9 +392,9 @@ def test_defect_matrix_is_the_lab_frame_defect_pulled_back():
 def test_residual_builds_each_stored_time_integrand_once(monkeypatch):
     calls = []
 
-    def spy(gamma, budget=DEFAULT_RANK_BUDGET):
+    def spy(gamma):
         calls.append(gamma.order)
-        return collision_full(gamma, budget=budget)
+        return collision_full(gamma)
 
     monkeypatch.setattr(hierarchy_module, "collision_full", spy)
     traj = solve_nls(random_shell_field(GEOM32, 2, 3), 0.1, 0.01)
@@ -399,10 +404,11 @@ def test_residual_builds_each_stored_time_integrand_once(monkeypatch):
 
 def test_residual_checks_rank_budget_before_building(monkeypatch):
     monkeypatch.setattr(hierarchy_module, "collision_full", None)
+    monkeypatch.setattr(hierarchy_module, "DEFAULT_RANK_BUDGET", 45)
     traj = solve_nls(random_shell_field(GEOM32, 2, 3), 0.1, 0.01)
     # 2 + 11 * 2 k terms at the final checkpoint
     with pytest.raises(RankBudgetError, match="needs 46 terms"):
-        hierarchy_duhamel_residual(traj, 2, budget=45)
+        hierarchy_duhamel_residual(traj, 2)
 
 
 def test_default_zeta_values():

@@ -1,7 +1,11 @@
 """No module of the package or of its tests imports a name it never uses,
-and the package defines no private top-level name that it never reads."""
+the package defines no private top-level name that it never reads, and
+every function the benchmark measures per layer is public."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,3 +97,19 @@ def test_no_unreferenced_private_definitions():
     dead = ["%s:%d %s" % (p.relative_to(ROOT), line, name) for p in files
             for line, name in _private_definitions(p.read_text()) if name not in refs]
     assert dead == []
+
+
+def test_benchmark_layer_functions_are_public():
+    # a per-layer metric `module.function.quantity` is measured on the
+    # function only while the module defines it and lists it in __all__
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    named = {tuple(m["name"].split(".")[:2]) for m in metrics if m["name"].count(".") == 2}
+    assert len(named) >= 12
+    missing = []
+    for module, name in sorted(named):
+        mod = importlib.import_module("nlslab." + module)
+        fn = getattr(mod, name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                and name in mod.__all__):
+            missing.append("%s.%s" % (module, name))
+    assert missing == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlslab import solver as solver_module
 from nlslab.fl1d import gauge_transform, renormalized_duhamel_residual, renormalized_nonlinearity
 from nlslab.solver import (
     BlowUpError,
@@ -195,11 +196,12 @@ def test_dt_must_divide_T():
         solve_nls(random_shell_field(GEOM1, 2, 7), -0.1, 0.01)
 
 
-def test_blow_up_guard_trips():
+def test_blow_up_guard_trips(monkeypatch):
     phi0 = random_shell_field(GEOM1, 2, 8)
+    # absurd guard factor below 1 must trip immediately
+    monkeypatch.setattr(solver_module, "BLOW_UP_GUARD", 1e-12)
     with pytest.raises(BlowUpError):
-        # absurd guard factor below 1 must trip immediately
-        solve_nls(phi0, 0.1, 0.01, guard_factor=1e-12)
+        solve_nls(phi0, 0.1, 0.01)
 
 
 def test_trajectory_uniform_grid_enforced():
