@@ -166,18 +166,21 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None):
+def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
     """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) for every f in
     fields, on the grid padded by pad, in blocks of at most chunk times.
 
-    A block has shape (n * len(fields),) + P, time-major: row j * len(fields)
-    + i is field i at the block's j-th time.  It is a view of one reused
-    buffer, valid until the next block.  The phases are a table for one
-    chunk, built by recurrence, and each chunk advances the coefficients by
-    exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled by
-    the padded grid size, so the samples come out as u e^{i xi(M/2) . x} with
-    the padding at the end of each axis; the inverse FFT runs one axis at a
-    time and skips the rows that are still all zero.
+    region, when given, keeps the points 0 <= k_j < region[j] of the padded
+    grid P (default: all of P).  A block has shape (n * len(fields),) +
+    region, time-major: row j * len(fields) + i is field i at the block's
+    j-th time.  It is a view of one reused buffer, valid until the next
+    block.  The phases are a table for one chunk, built by recurrence, and
+    each chunk advances the coefficients by exp(-i chunk dt lambda).  The
+    modes are stored fftshifted and scaled by the padded grid size, so the
+    samples come out as u e^{i xi(M/2) . x} with the padding at the end of
+    each axis.  The inverse FFT runs one axis at a time: it skips the rows
+    that are still all zero, and along the axes already transformed it
+    takes only the lines inside the region.
 
     A block runs as contiguous time slices, one per CPU this process may run
     on: the caller runs the first, a thread each of the others (numpy's FFTs
@@ -204,6 +207,7 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None):
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     modes = bufs[0].reshape((c, k) + bufs[0].shape[1:])[:, :, :M[0]]
     samples = np.empty((c * k,) + P, dtype=dtype)
+    cut = tuple(slice(0, r) for r in (P if region is None else region))
     lanes, errors = _cpus(), []
 
     def run(lo, hi):
@@ -211,10 +215,11 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None):
             np.multiply(table[lo:hi], coeffs, out=modes[lo:hi])
             rows = slice(lo * k, hi * k)
             for a in range(1, d + 1):
-                np.fft.ifft(bufs[a - 1][rows], axis=a,
-                            out=heads[a][rows] if a < d else samples[rows])
+                lines = (rows,) + cut[:a - 1]
+                np.fft.ifft(bufs[a - 1][lines], axis=a,
+                            out=heads[a][lines] if a < d else samples[lines])
             if consume is not None:
-                consume(rows, samples[rows])
+                consume(rows, samples[(rows,) + cut])
         except BaseException as exc:  # raised in the caller, below
             errors.append(exc)
 
@@ -231,11 +236,20 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None):
         if errors:
             raise errors[0]
         coeffs *= advance
-        yield samples[:n * k]
+        yield samples[(slice(0, n * k),) + cut]
 
 
 # ---------------------------------------------------------------------------
 # Strichartz
+
+def _is_even(c):
+    """True when the coefficients c, in numpy FFT order, are unchanged by
+    every axis reflection n_j -> -n_j and have no mode on a Nyquist plane
+    n_j = -M_j/2, which has no mirror; then e^{it Lap} f is even in each x_j."""
+    return all(not (m % 2 == 0 and np.take(c, m // 2, axis=a).any())
+               and np.array_equal(c, np.take(c, -np.arange(m) % m, axis=a))
+               for a, m in enumerate(c.shape))
+
 
 def _spacetime_lp_mean(f, p, nt):
     """Midpoint-rule mean of ||e^{it Lap} f||_{L^p}^p over t in [0, 1].
@@ -246,9 +260,13 @@ def _spacetime_lp_mean(f, p, nt):
     unchanged, and their scale keeps |u|^p clear of float32 subnormals.  If
     every nonzero mode of f has one lambda, |e^{it Lap} f| = |f| at all t, so
     the mean is ||f||_{L^p}^p on the same grid, once in double precision.
-    The |u|^p step runs in the time slices of _free_samples; each block's
-    float64 sum runs here, whole, so the value does not depend on the number
-    of slices.
+    If f is even in every coordinate (_is_even), so is |u|, and only the
+    quadrant 0 <= k_j <= P_j/2 of the padded grid P is sampled: a point
+    counts twice along each axis where 0 < k_j < P_j/2, standing for its
+    mirror P_j - k_j, and once where k_j is 0 or P_j/2.  The weights are
+    powers of 2, exact in float32.  The |u|^p step runs in the time slices of
+    _free_samples; each block's float64 sum runs here, whole, so the value
+    does not depend on the number of slices.
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
@@ -256,7 +274,12 @@ def _spacetime_lp_mean(f, p, nt):
         return lp_norm(f, p, pad=2) ** p
     target = geom.padded(2)
     w = target.volume / target.npoints
-    mag2 = np.empty((min(32, nt),) + target.grid, dtype=np.float32)
+    region = weights = None
+    if _is_even(f.coeffs):
+        region = tuple(P // 2 + 1 for P in target.grid)
+        weights = math.prod(np.ix_(*[np.where(np.arange(r) % (r - 1), 2, 1) for r in region]))
+        weights = weights.astype(np.float32)
+    mag2 = np.empty((min(32, nt),) + (region or target.grid), dtype=np.float32)
     powd = np.empty_like(mag2)
     half = p / 2.0
 
@@ -265,15 +288,18 @@ def _spacetime_lp_mean(f, p, nt):
         np.square(u.real, out=m2)
         np.square(u.imag, out=pw)
         m2 += pw
-        if half == int(half):
-            np.copyto(pw, m2)
-            for _ in range(int(half) - 1):
+        if half == int(half) > 1:
+            np.multiply(m2, m2, out=pw)
+            for _ in range(int(half) - 2):
                 pw *= m2
         else:
             np.power(m2, half, out=pw)
+        if weights is not None:
+            pw *= weights
 
     acc = 0.0
-    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64, power):
+    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64, power,
+                                 region=region):
         acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
     return acc / nt
 
@@ -287,6 +313,8 @@ def bench_strichartz(d, p, N_list, trials, seed):
     their time grid is refined with N to keep the quadrature honest in both
     directions.  Data whose modes all share one lambda (the `single` row)
     has a modulus constant in time and is evaluated exactly at one time.
+    The `ones` and `bell` data are even in every coordinate, so their |u|^p
+    is summed over one weighted quadrant of the grid (_spacetime_lp_mean).
     """
     if d > 3:
         raise ValueError("full-grid evaluation supports d <= 3")

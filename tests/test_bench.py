@@ -82,32 +82,56 @@ def test_fit_exponent_needs_three_levels():
         assert all(math.isnan(v) for v in fit_loglog(x, [2.0] * len(x)))
 
 
+def _mirrored(c):
+    """c summed over every axis reflection n_j -> -n_j (numpy FFT order), with
+    its Nyquist planes n_j = -M_j/2 zeroed: even in every coordinate."""
+    for a, m in enumerate(c.shape):
+        c = c + np.take(c, -np.arange(m) % m, axis=a)
+        if m % 2 == 0:
+            c[(slice(None),) * a + (m // 2,)] = 0
+    return c
+
+
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(1, 3), thetas=st.tuples(*[st.floats(0.5, 1.5)] * 3),
        grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
        nfields=st.integers(1, 3), t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
        nt=st.integers(1, 9), chunk=st.integers(1, 4), single=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5))
+       seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5), even=st.booleans())
 # a chunked advance from a negative start that ends on a partial chunk, and
-# nt below and equal to the chunk; more lanes than times in a block
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0, 2)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1, 5)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2, 3)
+# nt below and equal to the chunk; more lanes than times in a block; even
+# fields on the quadrant in d = 1, 2, 3, on rectangular tori
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0, 2, False)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1, 5, False)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2, 3, False)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 2, -0.3, 0.25, 5, 2, True, 3, 3, True)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, 0.1, 0.1, 6, 4, True, 4, 5, True)
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, False, 5, 2, True)
 def test_free_samples_match_free_evolve(d, thetas, grid, pad, nfields, t0, dt, nt, chunk,
-                                        single, seed, lanes):
+                                        single, seed, lanes, even):
     geom = TorusGeometry(d, thetas[:d], grid[:d])
     target = geom.padded(pad)
     rng = np.random.default_rng(seed)
-    fields = [SpectralField(geom, rng.standard_normal(geom.grid)
-                            + 1j * rng.standard_normal(geom.grid)) for _ in range(nfields)]
+    fields = [rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
+              for _ in range(nfields)]
+    fields = [SpectralField(geom, _mirrored(c) if even else c) for c in fields]
+    region = tuple(P // 2 + 1 for P in target.grid) if even else None
     dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
     blocks = {}
     for n in (1, lanes):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench_module, "_cpus", lambda: n)
-            blocks[n] = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+            blocks[n] = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype,
+                                                         region=region)]
     # the slices write disjoint rows: any lane count gives the same bits
     assert all(np.array_equal(a, b) for a, b in zip(blocks[1], blocks[lanes], strict=True))
+    if even:
+        # the quadrant is the full grid's samples there, bit for bit
+        full = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+        quadrant = (slice(None),) + tuple(slice(0, r) for r in region)
+        assert all(np.array_equal(q, b[quadrant])
+                   for q, b in zip(blocks[lanes], full, strict=True))
+        blocks[1] = full
     blocks = blocks[1]
     assert [len(b) for b in blocks] == [nfields * min(chunk, nt - lo) for lo in range(0, nt, chunk)]
     assert all(b.dtype == dtype for b in blocks)
@@ -127,35 +151,65 @@ def _direct_spacetime_lp_mean(f, p, nt):
     return np.mean([lp_norm(free_evolve(f, t), p, pad=2) ** p for t in times])
 
 
-def test_spacetime_lp_mean_matches_direct_evolution():
+def _regions(monkeypatch):
+    """The regions that _spacetime_lp_mean asks of _free_samples, in order."""
+    regions, real = [], bench_module._free_samples
+
+    def spy(*args, region=None):
+        regions.append(region)
+        return real(*args, region=region)
+
+    monkeypatch.setattr(bench_module, "_free_samples", spy)
+    return regions
+
+
+def test_spacetime_lp_mean_matches_direct_evolution(monkeypatch):
     # d=1 fits in one chunk; the non-square d=2 case (nt=70, chunk=32) takes
     # two phase advances between chunks and ends on a partial chunk
+    skew = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     cases = [
-        (TorusGeometry(1, (1.0,), (8,)), 4.0, 4),
-        (TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12)), 6.0, 70),
+        (random_shell_field(TorusGeometry(1, (1.0,), (8,)), 2, 0), 4.0, 4),
+        (random_shell_field(skew, 2, 0), 6.0, 70),
     ]
-    for geom, p, nt in cases:
-        f = random_shell_field(geom, 2, 0)
-        got = _spacetime_lp_mean(f, p, nt)
+    # even data, sampled on the quadrant of the padded grid
+    even = [shell_extremizer_field(skew, 2, "ones"), shell_extremizer_field(skew, 2, "bell")]
+    for geom, N in ((TorusGeometry(1, (1.0,), (16,)), 4), (skew, 2),
+                    (TorusGeometry(3, (1.0, 1.3, 0.9), (8, 8, 8)), 2)):
+        f = random_shell_field(geom, N, 1)
+        even.append(SpectralField(geom, _mirrored(f.coeffs)))
+    cases += [(f, 6.0, 70) for f in even]
+    regions = _regions(monkeypatch)
+    got = []
+    for f, p, nt in cases:
+        got.append(_spacetime_lp_mean(f, p, nt))
         want = _direct_spacetime_lp_mean(f, p, nt)
         # the batched path runs in single precision
-        assert abs(got - want) < 1e-5 * want
+        assert abs(got[-1] - want) < 1e-5 * want
+    assert regions == [None] * 2 + [tuple(M + 1 for M in f.geometry.grid) for f in even]
+    # the quadrant sums the full grid's float32 samples, each mirror pair once
+    monkeypatch.setattr(bench_module, "_is_even", lambda c: False)
+    for f, quadrant in zip(even, got[2:], strict=True):
+        full = _spacetime_lp_mean(f, 6.0, 70)
+        assert regions[-1] is None
+        assert abs(quadrant - full) < 1e-7 * full
 
 
 def test_spacetime_lp_mean_is_lane_invariant(monkeypatch):
     # five lanes on two chunks and a partial one, with the GIL handed over
     # as often as the interpreter allows: an advance of the coefficients
-    # before every slice has finished would change the sum
-    f = random_shell_field(TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12)), 2, 0)
+    # before every slice has finished would change the sum; the even field
+    # takes the quadrant
+    geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
+    fields = [random_shell_field(geom, 2, 0), shell_extremizer_field(geom, 2, "bell")]
     monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
-    want = _spacetime_lp_mean(f, 6.0, 70)
+    want = [_spacetime_lp_mean(f, 6.0, 70) for f in fields]
     monkeypatch.setattr(bench_module, "_cpus", lambda: 5)
     interval = sys.getswitchinterval()
     start = time.perf_counter()
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(5):
-            assert _spacetime_lp_mean(f, 6.0, 70) == want
+            assert [_spacetime_lp_mean(f, 6.0, 70) for f in fields] == want
     finally:
         sys.setswitchinterval(interval)
     assert time.perf_counter() - start < 30.0
@@ -214,6 +268,50 @@ def test_spacetime_lp_mean_single_lambda_shortcut(monkeypatch):
     got = _spacetime_lp_mean(mixed, p, nt)
     assert shortcut == []
     assert abs(got - _direct_spacetime_lp_mean(mixed, p, nt)) < 1e-5 * got
+
+
+def test_spacetime_lp_mean_takes_the_quadrant_only_for_even_data(monkeypatch):
+    square = TorusGeometry(2, (1.0, 1.0), (8, 8))
+    even = [shell_extremizer_field(g, 2, kind) for kind in ("ones", "bell")
+            for g in (square, TorusGeometry(2, (1.0, math.sqrt(2.0)), (8, 8)))]
+    ones = shell_extremizer_field(square, 2, "ones")
+    # a mode on the Nyquist plane n_1 = -4 is its own mirror under both
+    # reflections, but it breaks the evenness of |u| in x_1
+    nyquist = ones + 0.5 * mode_field(square, (-4, 0))
+    # even in x_1, not in x_2
+    one_axis = ones + mode_field(square, (1, 1)) + mode_field(square, (-1, 1))
+    full = [nyquist, one_axis, random_shell_field(square, 2, 0)]
+    regions = _regions(monkeypatch)
+    for f in even + full:
+        got = _spacetime_lp_mean(f, 6.0, 24)
+        assert abs(got - _direct_spacetime_lp_mean(f, 6.0, 24)) < 1e-5 * got
+    assert regions == [(9, 9)] * len(even) + [None] * len(full)
+    # the quadrant would be wrong for both
+    monkeypatch.setattr(bench_module, "_is_even", lambda c: True)
+    for f in full[:2]:
+        want = _direct_spacetime_lp_mean(f, 6.0, 24)
+        assert abs(_spacetime_lp_mean(f, 6.0, 24) - want) > 1e-3 * want
+
+
+def test_bench_strichartz_rows_are_pinned():
+    # random and single rows are bit for bit those of the full-grid kernel;
+    # the even rows sum mirrored float32 samples once, within 1e-7
+    want = [
+        (2, "random", 0.3754371063315935), (2, "ones", 0.5428218776645166),
+        (2, "single", 0.2936838654966136), (2, "bell", 0.45705542663890075),
+        (4, "random", 0.3954502681455184), (4, "ones", 0.6790071864098792),
+        (4, "single", 0.2936838654966137), (4, "bell", 0.630313300995748),
+        (8, "random", 0.39508071030296965), (8, "ones", 0.8636543707150144),
+        (8, "single", 0.2936838654966136), (8, "bell", 0.8400476390911675),
+    ]
+    rows = bench_strichartz(2, 6.0, (2, 4, 8), trials=2, seed=3).rows
+    assert [r[:2] for r in rows] == [w[:2] for w in want]
+    for (N, kind, lhs, rhs, ratio), (_, _, r) in zip(rows, want):
+        assert lhs == ratio and rhs == 1.0
+        if kind in ("random", "single"):
+            assert repr(ratio) == repr(r)
+        else:
+            assert abs(ratio - r) < 1e-7 * r
 
 
 def test_bench_strichartz_small_run(monkeypatch):
