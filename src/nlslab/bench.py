@@ -23,6 +23,7 @@ from .torus import (
     _bracket,
     _freq_sq,
     besov_norm,
+    conjugate,
     l2_norm,
     lp_norm,
     product_field,
@@ -242,13 +243,26 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
 # ---------------------------------------------------------------------------
 # Strichartz
 
+def _off_nyquist(c):
+    """True when the coefficients c, in numpy FFT order, have no mode on a
+    Nyquist plane n_j = -M_j/2, which has no mirror n_j = M_j/2."""
+    return not any(m % 2 == 0 and np.take(c, m // 2, axis=a).any()
+                   for a, m in enumerate(c.shape))
+
+
 def _is_even(c):
     """True when the coefficients c, in numpy FFT order, are unchanged by
-    every axis reflection n_j -> -n_j and have no mode on a Nyquist plane
-    n_j = -M_j/2, which has no mirror; then e^{it Lap} f is even in each x_j."""
-    return all(not (m % 2 == 0 and np.take(c, m // 2, axis=a).any())
-               and np.array_equal(c, np.take(c, -np.arange(m) % m, axis=a))
-               for a, m in enumerate(c.shape))
+    every axis reflection n_j -> -n_j and are _off_nyquist; then
+    e^{it Lap} f is even in each x_j."""
+    return _off_nyquist(c) and all(np.array_equal(c, np.take(c, -np.arange(m) % m, axis=a))
+                                   for a, m in enumerate(c.shape))
+
+
+def _is_real(f):
+    """True when f is real-valued: its coefficients satisfy c[-n] = conj(c[n])
+    exactly (conjugate(f) is f) and are _off_nyquist.  Then
+    e^{-it Lap} f = conj(e^{it Lap} f) at every t."""
+    return _off_nyquist(f.coeffs) and np.array_equal(conjugate(f).coeffs, f.coeffs)
 
 
 def _spacetime_lp_mean(f, p, nt):
@@ -366,8 +380,14 @@ def _trilinear_samples(phis, eta, T, nt):
     distinct factor (three identical ones are the `ones` row's one object)
     comes from _free_samples once per time, times e^{i xi(M/2) . x}; the
     product carries e^{i xi(3M/2) . x}, which on the 3M grid makes its
-    forward FFT the fftshifted coefficients.  One bincount over the shifted
-    block labels gives the Besov block sums.
+    forward FFT, taken in place, the fftshifted coefficients.  One bincount
+    of |c|^2 over the shifted block labels gives the Besov block sums.
+
+    When every distinct factor is real-valued (_is_real), u_j(-t) =
+    conj(u_j(t)), so the product at -t is the conjugate of the product at t
+    and its B^{-eta} norm, whose blocks depend on |xi| only, is even in t.
+    The time grid is symmetric, so only its first ceil(nt/2) times are
+    evaluated and the rest are their mirrors.
     """
     geom = phis[0].geometry
     target = geom.padded(3)
@@ -379,15 +399,21 @@ def _trilinear_samples(phis, eta, T, nt):
     # block norm = sqrt(volume * sum |c|^2), c = fftn(product) / npoints
     weight = _bracket(Ns) ** -eta * (math.sqrt(target.volume) / target.npoints)
     prod = np.empty(target.grid, dtype=np.complex128)
+    c = prod.reshape(-1)
+    mag2, imag2 = np.empty(c.shape), np.empty(c.shape)
     vals = np.empty(nt)
     dt = 2.0 * T / max(nt - 1, 1)  # np.linspace(-T, T, nt); nt = 1 is t = -T
-    for i, u in enumerate(_free_samples(distinct, 3, -T, dt, nt, 1, np.complex128)):
+    half = (nt + 1) // 2 if all(_is_real(f) for f in distinct) else nt
+    for i, u in enumerate(_free_samples(distinct, 3, -T, dt, half, 1, np.complex128)):
         np.multiply(u[slots[0]], u[slots[1]], out=prod)
         for j in slots[2:]:
             prod *= u[j]
-        c = np.fft.fftn(prod).ravel()
-        power = np.bincount(labels, weights=c.real ** 2 + c.imag ** 2, minlength=nblocks)
-        vals[i] = float(weight @ np.sqrt(power))
+        np.fft.fftn(prod, out=prod)
+        np.square(c.real, out=mag2)
+        np.square(c.imag, out=imag2)
+        mag2 += imag2
+        vals[i] = float(weight @ np.sqrt(np.bincount(labels, weights=mag2, minlength=nblocks)))
+    vals[half:] = vals[:nt - half][::-1]
     return vals
 
 
@@ -396,7 +422,8 @@ def _trilinear_ratio(phis, eta, zeta, T, nt):
 
     The LHS is the trapezoid rule over nt times of _trilinear_samples:
     products evaluated exactly on the pad-3 grid, with one inverse FFT per
-    time for factors that are one object (the `ones` row).  The RHS is
+    time for factors that are one object (the `ones` row), and on half the
+    times when every factor is real-valued (the same row).  The RHS is
     ||phi1||_{B^{-eta}} ||phi2||_{B^zeta} ||phi3||_{B^zeta}.
     """
     lhs = float(np.trapezoid(_trilinear_samples(phis, eta, T, nt), np.linspace(-T, T, nt)))
@@ -414,7 +441,9 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
 
     Every product is evaluated exactly, on the pad-3 grid.  The `ones` field
     is built once per block and passed as all three factors, so it is
-    transformed once per time sample, not three times.
+    transformed once per time sample, not three times.  It is real-valued,
+    so its norm is even in t and only the first half of its time grid is
+    evaluated (_trilinear_samples).
     """
     pars = admissible_parameters(d)
     if not 0 <= eta <= float(pars.zeta0):

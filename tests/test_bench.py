@@ -30,6 +30,7 @@ from nlslab.torus import (
     SpectralField,
     TorusGeometry,
     besov_norm,
+    conjugate,
     field_samples,
     free_evolve,
     lp_norm,
@@ -375,17 +376,53 @@ def test_trilinear_identical_factors_take_one_transform(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft", spy)
     shared = _trilinear_samples([ones] * 3, 0.25, T, nt)
-    # one field per transform; the first axis skips the all-zero columns
-    assert calls == [(1, 48, 12), (1, 48, 36)] * nt
+    # one field per transform; the first axis skips the all-zero columns; the
+    # field is real, so only the first half of the time grid is evaluated
+    assert calls == [(1, 48, 12), (1, 48, 36)] * ((nt + 1) // 2)
     calls.clear()
     copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, T, nt)
-    assert calls == [(3, 48, 12), (3, 48, 36)] * nt
+    assert calls == [(3, 48, 12), (3, 48, 36)] * ((nt + 1) // 2)
     monkeypatch.undo()
     want = _direct_trilinear_samples([ones] * 3, 0.25, T, nt)
     assert np.all(np.abs(shared - copies) <= 1e-12 * shared)
     assert np.all(np.abs(shared - want) <= 1e-12 * want)
     # a single time sample has no trapezoid width
     assert _trilinear_ratio([ones] * 3, 0.25, 0.3, 1.0, 1) == 0.0
+
+
+def test_trilinear_samples_mirror_only_real_data(monkeypatch):
+    # real-valued factors take the first ceil(nt/2) times of the symmetric
+    # grid and mirror the rest; any non-real factor, a Nyquist-plane mode
+    # (its own conjugate mirror, but not real) or one perturbed coefficient
+    # of a real field takes every time
+    evaluated, real = [], bench_module._free_samples
+
+    def spy(fields, pad, t0, dt, nt, *args):
+        evaluated.append(nt)
+        return real(fields, pad, t0, dt, nt, *args)
+
+    monkeypatch.setattr(bench_module, "_free_samples", spy)
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        for thetas in ((1.0,) * d, (1.0, math.sqrt(2.0), 1.0)[:d]):
+            geom = TorusGeometry(d, thetas, (8,) * d)
+            ones = shell_extremizer_field(geom, 2, "ones")
+            herm = [f + conjugate(f) for f in (random_shell_field(geom, 2, rng) for _ in range(3))]
+            assert all(np.array_equal(conjugate(f).coeffs, f.coeffs) for f in herm)
+            perturbed = herm[0].copy()
+            peak = np.unravel_index(np.argmax(np.abs(perturbed.coeffs)), geom.grid)
+            perturbed.coeffs[peak] += 1e-3j
+            nyquist = ones + 0.5 * mode_field(geom, (-4,) + (0,) * (d - 1))
+            cases = [([ones] * 3, True), (herm, True), ([ones, herm[1], ones], True),
+                     (herm[:2] + [random_shell_field(geom, 2, rng)], False),
+                     ([nyquist] * 3, False), ([perturbed] + herm[1:], False)]
+            for phis, mirrored in cases:
+                for nt in (1, 2, 3, 16, 17):
+                    evaluated.clear()
+                    got = _trilinear_samples(phis, 0.25, 0.4, nt)
+                    assert evaluated == [(nt + 1) // 2 if mirrored else nt]
+                    want = _direct_trilinear_samples(phis, 0.25, 0.4, nt)
+                    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 def test_bench_trilinear_validation():

@@ -517,19 +517,21 @@ def test_short_modulation_sweep_writes_its_rows_with_a_nan_fit(tmp_path, args):
 
 
 _NUM = r"\d\.\d+e[-+]\d\d"
+_PW_RESIDUAL = "plane-wave residual " + _NUM
+_PW_MASS = "plane-wave weighted mass %s  residual/mass %s" % (_NUM, _NUM)
 
 # (argv, a full-match pattern per stdout line)
 OTHER_SMOKE = [
     ("verify duhamel --T 0.1", ["relative mass drift " + _NUM]
      + [r"duhamel: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)] * 2),
-    ("verify hierarchy --T 0.1", ["plane-wave residual " + _NUM,
+    ("verify hierarchy --T 0.1", [_PW_RESIDUAL, _PW_MASS,
                                   r"hierarchy k=1: %s -> %s  ratio \d\.\d{4}  \[ok\]"
                                   % (_NUM, _NUM)]),
     ("verify hierarchy --d 2 --k 2 --T 0.2",
-     ["plane-wave residual " + _NUM,
+     [_PW_RESIDUAL, _PW_MASS,
       r"hierarchy k=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify hierarchy --d 2 --k 3 --T 0.2",
-     ["plane-wave residual " + _NUM,
+     [_PW_RESIDUAL, _PW_MASS,
       r"hierarchy k=3: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify lemma25 --m 3", ["m=%d defect %s" % (m, _NUM) for m in (1, 2, 3)]),
     ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
@@ -551,6 +553,22 @@ def test_cli_smoke(capsys, args, lines):
     assert len(out) == len(lines)
     for line, pattern in zip(out, lines):
         assert re.fullmatch(pattern, line), line
+
+
+def test_cli_verify_hierarchy_prints_the_plane_wave_mass(capsys):
+    # the plane wave e^{ix} on the 32-point circle: ||phi||^2 is the volume
+    # 2 pi, and S^{-zeta} multiplies its mode by <|xi|^2>^{-zeta/2} with
+    # |xi|^2 = 1 and zeta = 1/3 for d = 1, so the k = 2 mass is
+    # (2 pi 2^{-1/6})^2 = 31.33
+    assert main("verify hierarchy --k 2 --T 0.1".split()) == 0
+    residual, mass = capsys.readouterr().out.splitlines()[:2]
+    pw_res = float(residual.split()[-1])
+    pw_mass, ratio = (float(v) for v in re.fullmatch(
+        r"plane-wave weighted mass (\S+)  residual/mass (\S+)", mass).groups())
+    want = (2 * math.pi * 2 ** (-1 / 6)) ** 2
+    assert abs(pw_mass - want) <= 5e-4 * want
+    assert abs(ratio - pw_res / pw_mass) <= 1e-3 * ratio
+    assert ratio < 1e-13
 
 
 def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
