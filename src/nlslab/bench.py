@@ -285,7 +285,7 @@ def _spacetime_lp_mean(f, p, nt):
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
     if np.all(live == live[:1]):
-        return lp_norm(f, p, pad=2) ** p
+        return lp_norm(f, p) ** p
     target = geom.padded(2)
     w = target.volume / target.npoints
     region = weights = None
@@ -359,7 +359,7 @@ def bench_bernstein(p, q, N_list, trials, seed, d=2):
 
     def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
-            yield kind, lp_norm(f, q, pad=2) / lp_norm(f, p, pad=2)
+            yield kind, lp_norm(f, q) / lp_norm(f, p)
 
     target = d / p - (0.0 if q == np.inf else d / q)
     return _sweep("bernstein",
@@ -472,14 +472,15 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
 # static products
 
 def bench_cubic_product(d, alpha, N_list, trials, seed):
-    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep."""
+    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep, with the
+    product exact on its whole band, on the pad-3 grid (product_field)."""
     pars = admissible_parameters(d)
     if alpha <= float(pars.alpha0):
         raise ValueError("alpha must exceed alpha0 = %s for d = %d" % (pars.alpha0, d))
     zeta0 = float(pars.zeta0)
 
     def ratio(fs):
-        prod = product_field(*fs, pad=4)
+        prod = product_field(*fs)
         return besov_norm(prod, -zeta0) / math.prod(sobolev_norm(f, alpha) for f in fs)
 
     def ratios(geom, N, rng):
@@ -512,13 +513,13 @@ def bench_sobolev_product(d, rho1, rho2, delta, N_list, trials, seed, rho_tri=No
         for _ in range(trials):
             f1 = random_shell_field(geom, N, rng)
             f2 = random_shell_field(geom, N, rng)
-            prod = product_field(f1, f2, pad=2)
+            prod = product_field(f1, f2)
             yield "bilinear", sobolev_norm(prod, rho1 + rho2 - d / 2.0) / (
                 sobolev_norm(f1, rho1 + delta) * sobolev_norm(f2, rho2 + delta))
         if rho_tri is not None:
             for _ in range(trials):
                 fs = [random_shell_field(geom, N, rng) for _ in range(3)]
-                prod = product_field(*fs, pad=4)
+                prod = product_field(*fs)
                 yield "trilinear", sobolev_norm(prod, 3 * rho_tri - d) / math.prod(
                     sobolev_norm(f, rho_tri + delta) for f in fs)
 
@@ -540,8 +541,8 @@ def bench_sobolev_embedding(d, p, s, N_list, trials=16, seed=0):
 
     def ratios(geom, N, rng):
         for _, f in _trial_fields(geom, N, trials, rng):
-            yield "a", lp_norm(f, p, pad=2) / sobolev_norm(f, s)
-            yield "b", sobolev_norm(f, -s) / lp_norm(f, pprime, pad=2)
+            yield "a", lp_norm(f, p) / sobolev_norm(f, s)
+            yield "b", sobolev_norm(f, -s) / lp_norm(f, pprime)
 
     return _sweep("sobolev-embedding", {"d": d, "p": p, "s": s}, ["part", "N", "max_ratio"],
                   d, N_list, trials, seed, ratios, lambda N, part, r: (part, N, r),

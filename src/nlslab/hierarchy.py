@@ -21,9 +21,10 @@ import numpy as np
 
 from .torus import (
     SpectralField,
-    conjugate,
     free_evolve,
     pointwise_product,
+    product_field,
+    truncate_field,
     _freq_sq,
 )
 from .solver import simpson_weights
@@ -116,7 +117,8 @@ def _collisions(gamma, j):
     if j is not None and not 1 <= j <= k:
         raise ValueError("j must satisfy 1 <= j <= k")
     slots = range(k) if j is None else (j - 1,)
-    contract = _once_per_object(lambda f, g: pointwise_product(f, conjugate(g)))
+    contract = _once_per_object(
+        lambda f, g: truncate_field(product_field(f, g, conj=(False, True)), f.geometry))
     times = _once_per_object(pointwise_product)
     out = []
     for jj in slots:

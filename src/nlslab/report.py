@@ -113,13 +113,22 @@ def write_manifest(path, argv, out_path):
 
 
 def read_manifest(path):
+    """The manifest at path, checked: a format-1 object whose argv is a list
+    of strings and whose out is a string."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError("cannot read manifest from %s: %s" % (path, exc)) from exc
-    if doc.get("format") != 1 or "argv" not in doc:
+    except ValueError as exc:
+        raise ValueError("manifest %s is not JSON: %s" % (path, exc)) from exc
+    if not isinstance(doc, dict) or doc.get("format") != 1:
         raise ValueError("unrecognized manifest format in %s" % path)
+    argv = doc.get("argv")
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise ValueError("manifest %s: argv is not a list of strings" % path)
+    if not isinstance(doc.get("out"), str):
+        raise ValueError("manifest %s: out is missing or not a string" % path)
     return doc
 
 

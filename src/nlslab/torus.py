@@ -66,8 +66,8 @@ class TorusGeometry:
             raise ValueError("dimension must be >= 1")
         if len(self.thetas) != self.d or len(self.grid) != self.d:
             raise ValueError("thetas and grid must have length d")
-        if any(t <= 0 for t in self.thetas):
-            raise ValueError("all thetas must be positive")
+        if not all(0 < t < math.inf for t in self.thetas):
+            raise ValueError("all thetas must be positive and finite, not %r" % (self.thetas,))
         if any(m < 4 or m % 2 != 0 for m in self.grid):
             raise ValueError("grid sizes must be even integers >= 4")
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
@@ -243,15 +243,13 @@ def inner_product(f, g):
     return f.geometry.volume * complex(np.vdot(f.coeffs, g.coeffs))
 
 
-def lp_norm(f, p, pad=1):
-    """Uniform-grid quadrature of the L^p norm (max of |samples| for p=inf).
-
-    pad > 1 evaluates on a refined grid; for p = inf this is still a lower
-    bound of the true sup, which is adequate for exponent fits.
-    """
+def lp_norm(f, p):
+    """Uniform-grid quadrature of the L^p norm on the grid padded by 2; for
+    p = inf the max of |samples|, a lower bound of the true sup that is
+    adequate for exponent fits."""
     if p != np.inf and p < 1:
         raise ValueError("p must be >= 1")
-    g = truncate_field(f, f.geometry.padded(pad)) if pad > 1 else f
+    g = truncate_field(f, f.geometry.padded(2))
     s = np.abs(field_samples(g))
     if p == np.inf:
         return float(s.max())
@@ -376,25 +374,13 @@ def truncate_field(f, target):
     raise GeometryMismatchError("mixed pad/truncate not supported")
 
 
-def product_field(*factors, conj=None, pad=2):
-    """Pointwise product of fields, computed alias-free on a padded grid.
-
-    conj is an optional tuple of booleans marking factors to conjugate.
-    Each distinct factor object takes one padded inverse FFT, and conj acts
-    on its samples, so cubic_field transforms phi once.  The result lives on
-    the padded geometry.  With k factors on base grid M the product has
-    modes in [-kM/2, kM/2), so pad = k is exact on its whole band (pad = 3
-    for three factors); pad = 2 is exact on the base band for up to three
-    factors.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
+def _padded_product(factors, conj, pad):
+    """The product on the grid padded by pad: one inverse FFT per distinct
+    factor object, and conj acts on its samples."""
     geom = factors[0].geometry
     for f in factors[1:]:
         if f.geometry != geom:
             raise GeometryMismatchError("product factors on different geometries")
-    if conj is None:
-        conj = (False,) * len(factors)
     big = geom.padded(pad)
     samples = {}
     prod = None
@@ -406,14 +392,25 @@ def product_field(*factors, conj=None, pad=2):
     return field_from_samples(big, prod)
 
 
+def product_field(*factors, conj=None):
+    """Pointwise product of m fields on base grid M, on geom.padded(m): its
+    modes lie in [-mM/2, mM/2), so it is exact on its whole band.  conj is an
+    optional tuple of booleans marking factors to conjugate; it acts on the
+    samples, so each distinct factor object takes one padded inverse FFT."""
+    if not factors:
+        raise ValueError("need at least one factor")
+    return _padded_product(factors, conj or (False,) * len(factors), len(factors))
+
+
 def pointwise_product(f, g):
-    """f * g truncated back to the common base grid (exact convolution there)."""
-    return _band_copy(product_field(f, g, pad=2), f.geometry)
+    """f * g on the base grid: the pad-2 product_field truncated, exact there."""
+    return truncate_field(product_field(f, g), f.geometry)
 
 
 def cubic_field(phi):
-    """|phi|^2 phi on the base grid, dealiased via a 2x padded product."""
-    full = product_field(phi, phi, phi, conj=(False, True, False), pad=2)
+    """|phi|^2 phi on the base grid, from one inverse FFT of phi on the grid
+    padded by 2: aliases of base-band modes lie 2M away, off the product's band."""
+    full = _padded_product((phi, phi, phi), (False, True, False), 2)
     return _band_copy(full, phi.geometry)
 
 

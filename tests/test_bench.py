@@ -149,7 +149,7 @@ def test_free_samples_match_free_evolve(d, thetas, grid, pad, nfields, t0, dt, n
 
 def _direct_spacetime_lp_mean(f, p, nt):
     times = (np.arange(nt) + 0.5) / nt
-    return np.mean([lp_norm(free_evolve(f, t), p, pad=2) ** p for t in times])
+    return np.mean([lp_norm(free_evolve(f, t), p) ** p for t in times])
 
 
 def _regions(monkeypatch):
@@ -253,9 +253,9 @@ def test_spacetime_lp_mean_single_lambda_shortcut(monkeypatch):
     shortcut = []
     real_lp_norm = bench_module.lp_norm
 
-    def spy(f, p, pad=1):
+    def spy(f, p):
         shortcut.append(f)
-        return real_lp_norm(f, p, pad=pad)
+        return real_lp_norm(f, p)
 
     monkeypatch.setattr(bench_module, "lp_norm", spy)
     p, nt = 6.0, 40
@@ -343,11 +343,11 @@ def test_bench_bernstein_small_run():
 
 
 def _direct_trilinear_samples(phis, eta, T, nt):
-    return np.array([besov_norm(product_field(*[free_evolve(f, t) for f in phis], pad=4), -eta)
+    return np.array([besov_norm(product_field(*[free_evolve(f, t) for f in phis]), -eta)
                      for t in np.linspace(-T, T, nt)])
 
 
-def test_trilinear_samples_match_pad4_products():
+def test_trilinear_samples_match_exact_products():
     rng = np.random.default_rng(5)
     skew = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     cube = TorusGeometry(3, (1.0, 1.0, 1.0), (8, 8, 8))

@@ -220,6 +220,18 @@ def test_trajectory_wrong_length(tmp_path):
         read_trajectory(path)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_trajectory_with_a_non_finite_theta_is_rejected(tmp_path, theta):
+    geom = TorusGeometry(2, (1.0, 1.0), (8, 8))
+    path = tmp_path / "t.bin"
+    write_trajectory(solve_nls(random_shell_field(geom, 2, 0), 0.02, 0.01), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, 16 + 8, theta)  # the second theta
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="positive and finite"):
+        read_trajectory(path)
+
+
 def test_trajectory_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTATRAJ" + b"\x00" * 32)
@@ -318,6 +330,25 @@ def test_cli_rerun_removes_its_files_when_the_rerun_fails(tmp_path, monkeypatch,
 def test_cli_rerun_missing_manifest(capsys):
     assert main(["rerun", "/nonexistent/manifest.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '"params table"',
+    "{not json",
+    '{"format": 1, "argv": ["params", "table"]}',
+    '{"format": 1, "argv": ["params", "table"], "out": 3}',
+    '{"format": 1, "argv": "params table", "out": "p.csv"}',
+    '{"format": 1, "argv": ["params", 2], "out": "p.csv"}',
+])
+def test_cli_rerun_rejects_a_malformed_manifest(tmp_path, capsys, text):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_manifest(path)
+    assert main(["rerun", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
 # the effective OpenBLAS thread count, read through numpy's bundled library

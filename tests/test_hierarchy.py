@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nlslab import hierarchy as hierarchy_module
+from nlslab import torus as torus_module
 from nlslab.hierarchy import (
     FactorizedDensityMatrix,
     RankBudgetError,
@@ -32,7 +33,6 @@ from nlslab.torus import (
     field_samples,
     l2_norm,
     mode_field,
-    pointwise_product,
     random_shell_field,
     sobolev_norm,
 )
@@ -241,17 +241,15 @@ def test_collision_full_is_sum_over_slots():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_collision_full_forms_each_distinct_product_once(monkeypatch, k):
-    # on a tensor power the ket and bra contractions are one product, and
-    # so are the slot products of every j
+    # on a tensor power the ket and bra contractions are one product, in
+    # which phi and its conjugate share one transform, and the slot products
+    # of every j are one more: three padded inverse FFTs for every k
     calls = []
-
-    def spy(f, g):
-        calls.append((f, g))
-        return pointwise_product(f, g)
-
-    monkeypatch.setattr(hierarchy_module, "pointwise_product", spy)
+    samples = torus_module.field_samples
+    monkeypatch.setattr(torus_module, "field_samples",
+                        lambda f: calls.append(f.geometry) or samples(f))
     coll = collision_full(tensor_power(_rand(GEOM, 12), k + 1))
-    assert len(calls) == 2
+    assert calls == [GEOM.padded(2)] * 3
     assert coll.rank == 2 * k
 
 
@@ -299,7 +297,7 @@ def test_collision_is_anti_hermitian(geom, k, seed):
 @settings(max_examples=25, deadline=None)
 @given(geom=_GEOMETRIES, seed=st.integers(0, 2 ** 32 - 1))
 def test_conjugate_is_an_involution(geom, seed):
-    # collision_single conjugates the last ket and bra factors; any index
+    # conjugate is the sample-space conjugate on the base grid; any index
     # reversal is an involution, so the samples pin which one it is
     f = _rand(geom, seed)
     g = conjugate(f)

@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-the package defines no private top-level name that it never reads, and
-every function the benchmark measures per layer is public."""
+the package defines no private top-level name that it never reads, every
+function the benchmark measures per layer is public, and no keyword option
+of the package takes the same literal value at every call."""
 
 import ast
 import importlib
@@ -113,3 +114,81 @@ def test_benchmark_layer_functions_are_public():
                 and name in mod.__all__):
             missing.append("%s.%s" % (module, name))
     assert missing == []
+
+
+def _one_value_keywords(sources):
+    """(function, parameter, value) for every keyword parameter of a function
+    defined in sources that every call in sources passes, as one literal
+    value: an option that only one value ever reaches.  A call is matched by
+    the bare or attribute name of the function; names defined more than once
+    are skipped, and a call that leaves the parameter out, or may pass it
+    through *args or **kwargs, reaches some other value."""
+    defs, seen = {}, set()
+    trees = [ast.parse(source) for source in sources]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name in seen:
+                    defs.pop(node.name, None)
+                    continue
+                seen.add(node.name)
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                keywords = positional[len(positional) - len(a.defaults):]
+                keywords += [p.arg for p in a.kwonlyargs]
+                if keywords:
+                    defs[node.name] = (positional, keywords)
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defs:
+                continue
+            positional, keywords = defs[name]
+            given = {k.arg: k.value for k in node.keywords if k.arg is not None}
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                if i < len(positional):
+                    given[positional[i]] = arg
+            for param in keywords:
+                try:
+                    value = repr(ast.literal_eval(given.get(param)))
+                except ValueError:  # left out (None), or not a literal
+                    value = None
+                passed.setdefault((name, param), []).append(value)
+    return sorted((name, param, values[0]) for (name, param), values in passed.items()
+                  if values[0] is not None and values.count(values[0]) == len(values))
+
+
+def test_one_value_checker_rules():
+    source = ("def f(x, pad=1, *, conj=None):\n"
+              "    return g(x, n=2) + g(x, n=2) + h(x, 3) + h(x, m=3)\n"
+              "def g(x, n=0):\n"
+              "    return f(x, 2) + f(x, pad=2, conj=c)\n"
+              "def h(x, m=1):\n"
+              "    return k(x, *x) + k(x, 4) + obj.k(x, 4) + k(x, 4, **x)\n"
+              "def k(x, y=0):\n"
+              "    return e(x, q=5) + e(x)\n"
+              "def e(x, q=0):\n"
+              "    return d(x, r=6) + d(x, r=6)\n"
+              "def d(x, r=0):\n"
+              "    return x\n"
+              "class C:\n"
+              "    def d(self, r=0):\n"
+              "        return self\n")
+    # f's pad: 2 at both calls; g's n: 2 twice; h's m: 3 positionally and
+    # by keyword.  k may take y through *x or **x, e's q is once left out,
+    # f's conj is once a name, and d is defined twice.
+    assert _one_value_keywords([source]) == [("f", "pad", "2"), ("g", "n", "2"),
+                                             ("h", "m", "3")]
+
+
+def test_no_keyword_option_takes_one_value():
+    # a keyword option that every caller in the package sets to the same
+    # literal is a constant: it belongs in the function, not in its signature
+    files = sorted((ROOT / "src" / "nlslab").glob("*.py"))
+    assert _one_value_keywords([p.read_text() for p in files]) == []

@@ -234,13 +234,13 @@ def test_product_field_matches_convolution_oracle():
     geom = TorusGeometry(1, (1.0,), (8,))
     f = _random_field(geom, 8)
     g = _random_field(geom, 9)
-    prod = product_field(f, g, pad=2)
+    prod = product_field(f, g)
     assert np.abs(prod.coeffs - _convolution_oracle(f, g)).max() < 1e-10
     # 2d spot check on sparse fields
     geom2 = TorusGeometry(2, (1.0, 1.0), (6, 6))
     a = mode_field(geom2, (2, -1)) + mode_field(geom2, (-2, 2)) * 0.5
     b = mode_field(geom2, (1, 1)) * 1j
-    prod2 = product_field(a, b, pad=2)
+    prod2 = product_field(a, b)
     assert np.abs(prod2.coeffs - _convolution_oracle(a, b)).max() < 1e-12
 
 
@@ -250,8 +250,8 @@ def test_product_conj_flag():
     # conjugation only agree away from the band edge
     f = random_shell_field(geom, 2, 10)
     g = random_shell_field(geom, 4, 11)
-    lhs = product_field(f, g, conj=(False, True), pad=2)
-    rhs = product_field(f, conjugate(g), conj=(False, False), pad=2)
+    lhs = product_field(f, g, conj=(False, True))
+    rhs = product_field(f, conjugate(g), conj=(False, False))
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
 
 
@@ -344,13 +344,14 @@ def _circular_convolution(factors, conj, big):
                                         min_size=2, max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_product_field_is_the_convolution_of_its_factors(geom, picks, seed):
-    # k factors at pad k; two field objects, so one object often comes
-    # twice, with equal or opposite conj flags
+    # k factors on the grid padded by k; two field objects, so one object
+    # often comes twice, with equal or opposite conj flags
     pool = [_random_field(geom, seed), _random_field(geom, seed + 1)]
     factors = [pool[i] for i, _ in picks]
     conj = tuple(cj for _, cj in picks)
-    got = product_field(*factors, conj=conj, pad=len(picks))
-    want = _circular_convolution(factors, conj, geom.padded(len(picks)))
+    got = product_field(*factors, conj=conj)
+    assert got.geometry == geom.padded(len(factors))
+    want = _circular_convolution(factors, conj, got.geometry)
     scale = math.prod(np.abs(f.coeffs).sum() for f in factors)
     assert np.abs(got.coeffs - want).max() < 1e-13 * scale
 
@@ -363,8 +364,8 @@ def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     phi = _random_field(GEOMS[1], 17)
     cubic_field(phi)
     assert calls == [GEOMS[1].padded(2)]
-    product_field(phi, conjugate(phi), phi, pad=3)
-    assert len(calls) == 3
+    product_field(phi, conjugate(phi), phi)
+    assert calls[1:] == [GEOMS[1].padded(3)] * 2
 
 
 def test_random_shell_field_support_and_norm():
@@ -406,5 +407,9 @@ def test_geometry_validation():
         TorusGeometry(2, (1.0,), (8, 8))
     with pytest.raises(ValueError):
         TorusGeometry(1, (-1.0,), (8,))
+    # a NaN or infinite side would make the volume nan or 0.0
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TorusGeometry(2, (1.0, bad), (8, 8))
     with pytest.raises(ValueError):
         TorusGeometry(1, (1.0,), (7,))
