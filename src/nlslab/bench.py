@@ -472,8 +472,7 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
 # static products
 
 def bench_cubic_product(d, alpha, N_list, trials, seed):
-    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep, with the
-    product exact on its whole band, on the pad-3 grid (product_field)."""
+    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep; the product is exact (pad 3)."""
     pars = admissible_parameters(d)
     if alpha <= float(pars.alpha0):
         raise ValueError("alpha must exceed alpha0 = %s for d = %d" % (pars.alpha0, d))

@@ -24,7 +24,6 @@ from .torus import (
     free_evolve,
     pointwise_product,
     product_field,
-    truncate_field,
     _freq_sq,
 )
 from .solver import simpson_weights
@@ -118,7 +117,7 @@ def _collisions(gamma, j):
         raise ValueError("j must satisfy 1 <= j <= k")
     slots = range(k) if j is None else (j - 1,)
     contract = _once_per_object(
-        lambda f, g: truncate_field(product_field(f, g, conj=(False, True)), f.geometry))
+        lambda f, g: product_field(f, g, conj=(False, True), band=f.geometry))
     times = _once_per_object(pointwise_product)
     out = []
     for jj in slots:

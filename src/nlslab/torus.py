@@ -374,44 +374,46 @@ def truncate_field(f, target):
     raise GeometryMismatchError("mixed pad/truncate not supported")
 
 
-def _padded_product(factors, conj, pad):
-    """The product on the grid padded by pad: one inverse FFT per distinct
-    factor object, and conj acts on its samples."""
+def product_field(*factors, conj=None, band=None):
+    """Pointwise product of m fields on base grid M, exact on the modes of
+    band (a geometry with their sides; by default geom.padded(m), the whole
+    band [-mM/2, mM/2)) and returned on it.  Its aliases lie PM away on the
+    grid padded by P, so it is formed for the smallest integer P with
+    PM >= (mM + B)/2 on every axis of band's grid B: P = m for the whole
+    band, 2 for the base band of two or three factors.  conj is an optional
+    tuple of booleans marking factors to conjugate; it acts on the samples,
+    so each distinct factor object takes one padded inverse FFT.  It moves a
+    Nyquist mode -M/2 to +M/2, so a product of m conjugated factors reaches
+    mM/2, which may alias onto band.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
     geom = factors[0].geometry
     for f in factors[1:]:
         if f.geometry != geom:
             raise GeometryMismatchError("product factors on different geometries")
-    big = geom.padded(pad)
+    m = len(factors)
+    band = geom.padded(m) if band is None else band
+    big = geom.padded(max(-(-(m * M + B) // (2 * M)) for M, B in zip(geom.grid, band.grid)))
     samples = {}
     prod = None
-    for f, cj in zip(factors, conj):
+    for f, cj in zip(factors, conj or (False,) * m):
         if id(f) not in samples:
             samples[id(f)] = field_samples(_band_copy(f, big))
         s = np.conj(samples[id(f)]) if cj else samples[id(f)]
         prod = s if prod is None else prod * s
-    return field_from_samples(big, prod)
-
-
-def product_field(*factors, conj=None):
-    """Pointwise product of m fields on base grid M, on geom.padded(m): its
-    modes lie in [-mM/2, mM/2), so it is exact on its whole band.  conj is an
-    optional tuple of booleans marking factors to conjugate; it acts on the
-    samples, so each distinct factor object takes one padded inverse FFT."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    return _padded_product(factors, conj or (False,) * len(factors), len(factors))
+    full = field_from_samples(big, prod)
+    return full if band == big else truncate_field(full, band)
 
 
 def pointwise_product(f, g):
-    """f * g on the base grid: the pad-2 product_field truncated, exact there."""
-    return truncate_field(product_field(f, g), f.geometry)
+    """f * g on the base grid: product_field on its base band (pad 2)."""
+    return product_field(f, g, band=f.geometry)
 
 
 def cubic_field(phi):
-    """|phi|^2 phi on the base grid, from one inverse FFT of phi on the grid
-    padded by 2: aliases of base-band modes lie 2M away, off the product's band."""
-    full = _padded_product((phi, phi, phi), (False, True, False), 2)
-    return _band_copy(full, phi.geometry)
+    """|phi|^2 phi on the base grid: product_field on its base band (pad 2)."""
+    return product_field(phi, phi, phi, conj=(False, True, False), band=phi.geometry)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,14 @@ from nlslab.torus import (
     SpectralField,
     TorusGeometry,
     conjugate,
+    field_from_samples,
     field_samples,
     l2_norm,
     mode_field,
+    pointwise_product,
     random_shell_field,
     sobolev_norm,
+    truncate_field,
 )
 
 GEOM = TorusGeometry(1, (1.0,), (8,))
@@ -251,6 +254,22 @@ def test_collision_full_forms_each_distinct_product_once(monkeypatch, k):
     coll = collision_full(tensor_power(_rand(GEOM, 12), k + 1))
     assert calls == [GEOM.padded(2)] * 3
     assert coll.rank == 2 * k
+
+
+def test_collision_contracts_through_the_sample_conjugate():
+    # phi fills every mode, its Nyquist mode included: the contraction
+    # phi conj(phi) is the pad-2 sample-space |phi|^2 on the base band, the
+    # conjugate cubic_field takes, not the product with conjugate(phi)
+    phi = _rand(GEOM, 21)
+    big = GEOM.padded(2)
+    s = field_samples(truncate_field(phi, big))
+    density = truncate_field(field_from_samples(big, np.abs(s) ** 2), GEOM)
+    (_, kets, _), (_, _, bras) = collision_single(tensor_power(phi, 2), 1).terms
+    want = pointwise_product(phi, density).coeffs
+    assert np.abs(kets[0].coeffs - want).max() < 1e-12 * np.abs(want).max()
+    assert np.abs(bras[0].coeffs - want).max() < 1e-12 * np.abs(want).max()
+    other = pointwise_product(phi, pointwise_product(phi, conjugate(phi))).coeffs
+    assert np.abs(other - want).max() > 1e-2 * np.abs(want).max()
 
 
 def test_collision_full_is_the_concatenation_of_its_slots():

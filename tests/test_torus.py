@@ -354,6 +354,16 @@ def test_product_field_is_the_convolution_of_its_factors(geom, picks, seed):
     want = _circular_convolution(factors, conj, got.geometry)
     scale = math.prod(np.abs(f.coeffs).sum() for f in factors)
     assert np.abs(got.coeffs - want).max() < 1e-13 * scale
+    # on the base band: the convolution on a grid too wide to wrap, truncated.
+    # A conjugated factor's Nyquist mode -M/2 moves to +M/2, so with every
+    # factor conjugated the top mode mM/2 aliases on the grid of the rule
+    base = product_field(*factors, conj=conj, band=geom)
+    assert base.geometry == geom
+    if not all(conj):
+        wide = geom.padded(len(factors) + 1)
+        want = truncate_field(SpectralField(wide, _circular_convolution(factors, conj, wide)),
+                              geom).coeffs
+        assert np.abs(base.coeffs - want).max() < 1e-13 * scale
 
 
 def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
@@ -366,6 +376,11 @@ def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     assert calls == [GEOMS[1].padded(2)]
     product_field(phi, conjugate(phi), phi)
     assert calls[1:] == [GEOMS[1].padded(3)] * 2
+    # the smallest pad with pad M >= (m M + B)/2: 3 for four factors kept
+    # on the base band, 2 for two factors kept on the pad-2 band
+    product_field(phi, phi, phi, phi, band=GEOMS[1])
+    product_field(phi, conjugate(phi), band=GEOMS[1].padded(2))
+    assert calls[3:] == [GEOMS[1].padded(3)] + [GEOMS[1].padded(2)] * 2
 
 
 def test_random_shell_field_support_and_norm():
