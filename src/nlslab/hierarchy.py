@@ -24,7 +24,7 @@ from .torus import (
     free_evolve,
     pointwise_product,
     product_field,
-    _freq_sq,
+    _sobolev_weight,
 )
 from .solver import simpson_weights
 
@@ -173,7 +173,8 @@ def apply_sobolev_op(gamma, alpha):
     """
     if not gamma.terms:
         return gamma
-    w = (1.0 + _freq_sq(gamma.geometry) ** 2) ** (alpha / 4.0)
+    # alpha/4 = (alpha/2)/2 exactly: sobolev_norm's cached H^{alpha/2} weight
+    w = _sobolev_weight(gamma.geometry, alpha / 2.0)
 
     def mult(f):
         return SpectralField(f.geometry, f.coeffs * w)

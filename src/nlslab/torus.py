@@ -11,7 +11,6 @@ free evolution, dealiased products) is a pure function of a SpectralField.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,7 +136,12 @@ def _require_dyadic(N):
 
 
 # ---------------------------------------------------------------------------
-# cached per-geometry lattice arrays
+# cached per-geometry lattice arrays, read-only: every later caller shares them
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
 
 @functools.lru_cache(maxsize=256)
 def _freq_sq(geom):
@@ -151,12 +155,12 @@ def _freq_sq(geom):
         shape = [1] * geom.d
         shape[ax] = geom.grid[ax]
         out = out + a.reshape(shape)
-    return out
+    return _frozen(out)
 
 
 @functools.lru_cache(maxsize=256)
 def _freq_abs(geom):
-    return np.sqrt(_freq_sq(geom))
+    return _frozen(np.sqrt(_freq_sq(geom)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -169,7 +173,7 @@ def shell_indices(geom):
     absxi = _freq_abs(geom)
     idx = np.floor(absxi).astype(np.int64) + 1
     idx[absxi == 0.0] = 0
-    return idx
+    return _frozen(idx)
 
 
 @functools.lru_cache(maxsize=256)
@@ -180,7 +184,21 @@ def _block_exponents(geom):
     lab = np.full(geom.grid, -1, dtype=np.int64)
     pos = sh > 0
     lab[pos] = np.floor(np.log2(sh[pos])).astype(np.int64)
-    return lab
+    return _frozen(lab)
+
+
+@functools.lru_cache(maxsize=8)
+def _sobolev_weight(geom, s):
+    """The per-eigenvalue H^s weight <lambda>^s = (1 + lambda^2)^{s/2}."""
+    return _frozen((1.0 + _freq_sq(geom) ** 2) ** (s / 2.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _phase(geom, t):
+    """exp(-i t |xi|^2), the free-evolution multiplier.  The key compares t
+    by value, so t = -0.0 gets the phase of 0.0: the two differ only in the
+    sign of their zero imaginary parts."""
+    return _frozen(np.exp(-1j * t * _freq_sq(geom)))
 
 
 def dyadic_blocks(geom):
@@ -217,6 +235,45 @@ def field_samples(f):
     return np.fft.ifftn(f.coeffs) * f.geometry.npoints
 
 
+def _axis_band(a, axis, size):
+    """a with size entries along axis, in numpy FFT order: the first and the
+    last m/2 entries, m = min(a.shape[axis], size), copied and zeros
+    elsewhere (a itself when the size is unchanged)."""
+    n = a.shape[axis]
+    if n == size:
+        return a
+    m = min(n, size) // 2
+    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1:], dtype=a.dtype)
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, m),)] = a[lead + (slice(0, m),)]
+    out[lead + (slice(size - m, size),)] = a[lead + (slice(n - m, n),)]
+    return out
+
+
+def _padded_samples(f, big):
+    """field_samples(truncate_field(f, big)) for a grid big no smaller than
+    f's on any axis, bit for bit, without the all-zero lines.  ifftn
+    transforms the padded cube one axis at a time, last axis first; here
+    each axis is padded only when its turn comes, so the lines of the
+    axes still at f's size, all zero on the padded cube, are never formed.
+    """
+    a = f.coeffs
+    for ax in reversed(range(f.geometry.d)):
+        a = np.fft.ifft(_axis_band(a, ax, big.grid[ax]), axis=ax)
+    return a * big.npoints
+
+
+def _band_from_samples(big, samples, band):
+    """truncate_field(field_from_samples(big, samples), band), bit for bit:
+    fftn's per-axis transforms, last axis first, each followed by the cut
+    to band's modes along its axis, so later axes transform only the lines
+    that reach band."""
+    a = samples
+    for ax in reversed(range(big.d)):
+        a = _axis_band(np.fft.fft(a, axis=ax), ax, band.grid[ax])
+    return SpectralField(band, a / big.npoints)
+
+
 def zero_field(geom):
     return SpectralField(geom, np.zeros(geom.grid, dtype=np.complex128))
 
@@ -249,19 +306,18 @@ def lp_norm(f, p):
     adequate for exponent fits."""
     if p != np.inf and p < 1:
         raise ValueError("p must be >= 1")
-    g = truncate_field(f, f.geometry.padded(2))
-    s = np.abs(field_samples(g))
+    big = f.geometry.padded(2)
+    s = np.abs(_padded_samples(f, big))
     if p == np.inf:
         return float(s.max())
-    w = g.geometry.volume / g.geometry.npoints
+    w = big.volume / big.npoints
     return float((np.sum(s ** p) * w) ** (1.0 / p))
 
 
 def sobolev_norm(f, s):
     """H^s norm with the literal per-eigenvalue weight <lambda>^s,
     <x> = sqrt(1 + x^2), lambda = |xi|^2."""
-    lam = _freq_sq(f.geometry)
-    w = (1.0 + lam ** 2) ** (s / 2.0)
+    w = _sobolev_weight(f.geometry, s)
     return math.sqrt(f.geometry.volume * float(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
@@ -332,8 +388,7 @@ def smooth_dyadic_project(f, N):
 
 def free_evolve(f, t):
     """exp(i t Laplacian): multiplies mode xi by exp(-i t |xi|^2)."""
-    phase = np.exp(-1j * t * _freq_sq(f.geometry))
-    return SpectralField(f.geometry, f.coeffs * phase)
+    return SpectralField(f.geometry, f.coeffs * _phase(f.geometry, t))
 
 
 def conjugate(f):
@@ -344,24 +399,6 @@ def conjugate(f):
     return SpectralField(f.geometry, np.conj(c))
 
 
-def _band_copy(f, target):
-    """f's coefficients on a finer or coarser grid with the same thetas: the
-    modes the two grids share, copied, and zeros elsewhere.
-
-    In numpy FFT order an axis of M modes holds [0, M/2) first and then
-    [-M/2, 0), so with m = min(M, P) the shared modes are the first m/2 and
-    the last m/2 entries of the axis on both grids, and the copy is 2^d
-    corner blocks, with no shifted intermediate.
-    """
-    out = np.zeros(target.grid, dtype=np.complex128)
-    axes = [((slice(0, m // 2),) * 2, (slice(M - m // 2, M), slice(P - m // 2, P)))
-            for M, P in zip(f.geometry.grid, target.grid) for m in (min(M, P),)]
-    for corner in itertools.product(*axes):
-        src, dst = zip(*corner)
-        out[dst] = f.coeffs[src]
-    return SpectralField(target, out)
-
-
 def truncate_field(f, target):
     """Re-express f on another grid with the same thetas, padding or
     truncating on every axis (an equal grid gives a copy); a grid that pads
@@ -369,9 +406,14 @@ def truncate_field(f, target):
     if target.thetas != f.geometry.thetas or target.d != f.geometry.d:
         raise GeometryMismatchError("target geometry has different sides")
     pairs = list(zip(target.grid, f.geometry.grid))
-    if all(p >= m for p, m in pairs) or all(p <= m for p, m in pairs):
-        return _band_copy(f, target)
-    raise GeometryMismatchError("mixed pad/truncate not supported")
+    if not (all(p >= m for p, m in pairs) or all(p <= m for p, m in pairs)):
+        raise GeometryMismatchError("mixed pad/truncate not supported")
+    if target == f.geometry:
+        return f.copy()
+    c = f.coeffs
+    for ax, n in enumerate(target.grid):
+        c = _axis_band(c, ax, n)
+    return SpectralField(target, c)
 
 
 def product_field(*factors, conj=None, band=None):
@@ -384,7 +426,9 @@ def product_field(*factors, conj=None, band=None):
     tuple of booleans marking factors to conjugate; it acts on the samples,
     so each distinct factor object takes one padded inverse FFT.  It moves a
     Nyquist mode -M/2 to +M/2, so a product of m conjugated factors reaches
-    mM/2, which may alias onto band.
+    mM/2, which may alias onto band.  Both transforms are pruned
+    (_padded_samples, _band_from_samples) and equal, bit for bit, the full
+    ifftn and fftn of the padded grid.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -394,16 +438,17 @@ def product_field(*factors, conj=None, band=None):
             raise GeometryMismatchError("product factors on different geometries")
     m = len(factors)
     band = geom.padded(m) if band is None else band
+    if band.thetas != geom.thetas or band.d != geom.d:
+        raise GeometryMismatchError("band geometry has different sides")
     big = geom.padded(max(-(-(m * M + B) // (2 * M)) for M, B in zip(geom.grid, band.grid)))
     samples = {}
     prod = None
     for f, cj in zip(factors, conj or (False,) * m):
         if id(f) not in samples:
-            samples[id(f)] = field_samples(_band_copy(f, big))
+            samples[id(f)] = _padded_samples(f, big)
         s = np.conj(samples[id(f)]) if cj else samples[id(f)]
         prod = s if prod is None else prod * s
-    full = field_from_samples(big, prod)
-    return full if band == big else truncate_field(full, band)
+    return _band_from_samples(big, prod, band)
 
 
 def pointwise_product(f, g):

@@ -248,9 +248,9 @@ def test_collision_full_forms_each_distinct_product_once(monkeypatch, k):
     # which phi and its conjugate share one transform, and the slot products
     # of every j are one more: three padded inverse FFTs for every k
     calls = []
-    samples = torus_module.field_samples
-    monkeypatch.setattr(torus_module, "field_samples",
-                        lambda f: calls.append(f.geometry) or samples(f))
+    samples = torus_module._padded_samples
+    monkeypatch.setattr(torus_module, "_padded_samples",
+                        lambda f, big: calls.append(big) or samples(f, big))
     coll = collision_full(tensor_power(_rand(GEOM, 12), k + 1))
     assert calls == [GEOM.padded(2)] * 3
     assert coll.rank == 2 * k
@@ -339,6 +339,13 @@ def test_sobolev_op_conventions():
     g1 = apply_sobolev_op(tensor_power(phi, 1), 1.0)
     expect = (1.0 + 16.0) ** 0.25
     assert abs(g1.terms[0][1][0].coeffs[2] - expect) < 1e-12
+    # the shared H^{alpha/2} weight is bit for bit the alpha/4 power
+    lam = torus_module._freq_sq(GEOM)
+    phi = _rand(GEOM, 13)
+    for alpha in (1.0, -0.35, 0.7, -1.1):
+        (_, kets, bras), = apply_sobolev_op(tensor_power(phi, 1), alpha).terms
+        want = phi.coeffs * (1.0 + lam ** 2) ** (alpha / 4.0)
+        assert np.array_equal(kets[0].coeffs, want) and np.array_equal(bras[0].coeffs, want)
 
 
 def test_rank_budget_enforced(monkeypatch):

@@ -368,9 +368,9 @@ def test_product_field_is_the_convolution_of_its_factors(geom, picks, seed):
 
 def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     calls = []
-    samples = torus_module.field_samples
-    monkeypatch.setattr(torus_module, "field_samples",
-                        lambda f: calls.append(f.geometry) or samples(f))
+    samples = torus_module._padded_samples
+    monkeypatch.setattr(torus_module, "_padded_samples",
+                        lambda f, big: calls.append(big) or samples(f, big))
     phi = _random_field(GEOMS[1], 17)
     cubic_field(phi)
     assert calls == [GEOMS[1].padded(2)]
@@ -381,6 +381,87 @@ def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     product_field(phi, phi, phi, phi, band=GEOMS[1])
     product_field(phi, conjugate(phi), band=GEOMS[1].padded(2))
     assert calls[3:] == [GEOMS[1].padded(3)] + [GEOMS[1].padded(2)] * 2
+
+
+def _unpruned_product(factors, conj, big, band):
+    """The product the pruned transforms must reproduce: every factor
+    embedded in the padded grid big, a full ifftn and fftn, then the cut to
+    band."""
+    prod = None
+    for f, cj in zip(factors, conj):
+        s = field_samples(truncate_field(f, big))
+        s = np.conj(s) if cj else s
+        prod = s if prod is None else prod * s
+    return truncate_field(field_from_samples(big, prod), band)
+
+
+@pytest.mark.parametrize("geom", [
+    TorusGeometry(1, (1.0,), (10,)),
+    TorusGeometry(2, (1.0, math.sqrt(2.0)), (6, 10)),
+    TorusGeometry(3, (1.0, math.sqrt(2.0), 0.5), (6, 4, 10)),
+], ids=["d1", "d2", "d3"])
+@pytest.mark.parametrize("m, base, pad", [
+    (2, False, 2), (3, False, 3), (2, True, 2), (3, True, 2), (4, True, 3),
+])
+def test_product_field_is_bit_identical_to_the_unpruned_transforms(geom, m, base, pad):
+    # random fields fill every mode, the Nyquist modes -M/2 included, and
+    # M/2 is odd on the 6- and 10-point axes
+    f, g = _random_field(geom, 40), _random_field(geom, 41)
+    factors = [f, g, f, f][:m]
+    for conj in [(False,) * m, (False, True, True, False)[:m], (True,) * m]:
+        band = geom if base else geom.padded(m)
+        got = product_field(*factors, conj=conj, band=band)
+        want = _unpruned_product(factors, conj, geom.padded(pad), band)
+        assert got.geometry == want.geometry
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_lp_norm_is_bit_identical_to_the_unpruned_samples():
+    for geom in GEOMS + [TorusGeometry(2, (1.0, math.sqrt(2.0)), (6, 10))]:
+        f = _random_field(geom, 42)
+        big = geom.padded(2)
+        s = np.abs(field_samples(truncate_field(f, big)))
+        assert lp_norm(f, np.inf) == float(s.max())
+        for p in (1.0, 2.0, 3.5, 6.0):
+            want = float((np.sum(s ** p) * (big.volume / big.npoints)) ** (1.0 / p))
+            assert lp_norm(f, p) == want
+
+
+def test_free_evolve_is_bit_identical_to_a_fresh_phase():
+    # interleaved times, more distinct ones than the phase cache holds, on
+    # two geometries: every call must get the phase of its own (geometry, t)
+    fields = [_random_field(GEOMS[0], 43), _random_field(GEOMS[1], 44)]
+    times = [0.3, -0.3, 0.3, 0.1, 1, 1.0, 2e-3, -0.3, 0.7, 0.0, 0.25, 1.5, 0.05, 0.3, 0.1, -2e-3]
+    for t in times:
+        for f in fields:
+            want = f.coeffs * np.exp(-1j * t * torus_module._freq_sq(f.geometry))
+            assert np.array_equal(free_evolve(f, t).coeffs, want)
+
+
+def test_sobolev_norm_is_bit_identical_to_the_weight_formed_per_call():
+    for geom in GEOMS:
+        f = _random_field(geom, 45)
+        lam = torus_module._freq_sq(geom)
+        for s in (1.0, -1.1, 0.35, 2.0, -0.6, 1.0, 0.35):
+            w = (1.0 + lam ** 2) ** (s / 2.0)
+            want = math.sqrt(geom.volume * float(np.sum(w * np.abs(f.coeffs) ** 2)))
+            assert sobolev_norm(f, s) == want
+
+
+def test_cached_lattice_arrays_are_read_only():
+    # a write into a shared cached array would change every later call on
+    # its geometry: writing zeros into shell_indices zeroed this projection
+    geom = TorusGeometry(2, (1.0, 1.0), (8, 8))
+    f = _random_field(geom, 46)
+    before = smooth_dyadic_project(f, 2).coeffs
+    cached = [torus_module._freq_sq(geom), torus_module._freq_abs(geom), shell_indices(geom),
+              torus_module._block_exponents(geom), torus_module._sobolev_weight(geom, 0.5),
+              torus_module._phase(geom, 0.1)]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    after = smooth_dyadic_project(f, 2).coeffs
+    assert np.abs(after).sum() > 0 and np.array_equal(after, before)
 
 
 def test_random_shell_field_support_and_norm():
@@ -415,6 +496,8 @@ def test_geometry_mismatch_raises():
         _ = f + g
     with pytest.raises(GeometryMismatchError):
         product_field(f, g)
+    with pytest.raises(GeometryMismatchError, match="band"):
+        product_field(f, f, band=TorusGeometry(1, (2.0,), (32,)))
 
 
 def test_geometry_validation():
