@@ -187,19 +187,13 @@ def apply_sobolev_op(gamma, alpha):
 TRUNCATION = 1e-15
 
 
-def _truncated_rows(X):
-    """diag(s) V^H of the SVD of X without the singular values below
-    TRUNCATION times the largest: rows whose Gram matrix is X^H X."""
-    _, s, vh = np.linalg.svd(X, full_matrices=False)
-    keep = s > TRUNCATION * s.max(initial=0.0)
-    return s[keep, None] * vh[keep]
-
-
 def _khatri_rao_rows(T, V):
     """Coordinates of the columns sum_i T[i][:, c] (x) V[i][:, c], each a
-    sum of Khatri-Rao products, from the R-factor of their rows
-    sum_i T[i][a] * V[i][b], accumulated by QR in blocks of about 2R rows so
-    that the len(T[0]) * len(V[0]) rows are never all formed (TSQR)."""
+    sum of Khatri-Rao products: diag(s) W^H, s above TRUNCATION times the
+    largest, of the SVD of the R-factor of their rows sum_i T[i][a] * V[i][b],
+    accumulated by QR in blocks of about 2R rows so that the
+    len(T[0]) * len(V[0]) rows are never all formed (TSQR).  With V one row
+    of ones the rows are T[0]: the one reduction path serves the factors too."""
     R = T[0].shape[1]
     step = max(1, 2 * R // max(1, len(V[0])))
 
@@ -214,7 +208,9 @@ def _khatri_rao_rows(T, V):
         # a block lives only until it is concatenated: neither the QR's own
         # copy nor the SVD of the R-factor holds it
         acc = np.linalg.qr(np.concatenate([acc, block(a)]), mode="r")
-    return _truncated_rows(acc)
+    _, s, wh = np.linalg.svd(acc, full_matrices=False)
+    keep = s > TRUNCATION * s.max(initial=0.0)
+    return s[keep, None] * wh[keep]
 
 
 def _summed_terms(terms):
@@ -244,17 +240,18 @@ def _reduced_matrices(gammas):
     (_summed_terms), so a side that sums products is one column.
 
     Factors are the same when their coefficient bytes are, and sides when
-    their products are.  Stage j takes each distinct (column prefix of j
-    slots, factor in slot j + 1) of the products to the coordinates of its
-    Khatri-Rao product, so each prefix is reduced once; the last stage
-    reduces each side, a sum of products, as one column, holding one matrix
-    per place in the longest sum (k for the collision sums of a defect)."""
+    their products are.  Stage 0 takes the distinct factors to their
+    coordinates, and stage j each distinct (column prefix of j slots, factor
+    in slot j + 1) of the products to those of its Khatri-Rao product, so
+    each prefix is reduced once; the last stage reduces each side, a sum of
+    products, as one column, holding one matrix per place in the longest sum
+    (k for the collision sums of a defect).  Every stage is _khatri_rao_rows."""
     vol = next(g.geometry.volume for g in gammas if g.terms)
     index, by_bytes, columns, products = {}, {}, {}, {}
 
     def factor(f):
         if id(f) not in index:
-            index[id(f)] = by_bytes.setdefault(f.coeffs.tobytes(), len(by_bytes))
+            index[id(f)], _ = by_bytes.setdefault(f.coeffs.tobytes(), (len(by_bytes), f.coeffs))
         return index[id(f)]
 
     def column(side):
@@ -264,7 +261,6 @@ def _reduced_matrices(gammas):
                  [(c, tuple(map(factor, kets)), tuple(map(factor, bras)))
                   for c, kets, bras in g.terms])]
              for g in gammas]
-    factors = np.frombuffer(b"".join(by_bytes), dtype=np.complex128).reshape(len(by_bytes), -1)
     # row c: the products summed in column c, padded with -1
     width = max(map(len, columns))
     members = np.array([[products.setdefault(p, len(products)) for p in side]
@@ -277,7 +273,9 @@ def _reduced_matrices(gammas):
         X, ids = np.pad(X, ((0, 0), (0, 1))), np.append(ids, -1)
         return [X[:, ids[m]] for m in members.T]
 
-    F = _truncated_rows(factors.T * math.sqrt(vol))
+    factors = np.stack([c.ravel() for _, c in by_bytes.values()], axis=1)
+    factors *= math.sqrt(vol)
+    F = _khatri_rao_rows([factors], [np.ones((1, len(by_bytes)))])
     T, ids = F, slots[:, 0]
     for j in range(1, slots.shape[1] - 1):
         pairs, ids = np.unique(np.stack([ids, slots[:, j]], axis=1), axis=0,

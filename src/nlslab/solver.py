@@ -16,7 +16,6 @@ every stored time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .torus import (
     mode_field,
     sobolev_norm,
     _freq_sq,
+    _phase,
 )
 
 __all__ = [
@@ -171,18 +171,14 @@ def mild_defect_profile(traj, nonlinearity, beta):
     """
     if len(traj.times) < 3:
         raise ValueError("need at least 3 time points")
-    lam = _freq_sq(traj.geometry)
-    # one phase per stored time, for the integrand and the pulled-back
-    # state: simpson_prefix has read the integrand at t_m when it yields
-    # the integral to t_m, so the tee holds at most one phase
-    for_integrand, for_state = itertools.tee(np.exp(1j * t * lam) for t in traj.times)
-    integrand = (phase * nonlinearity(st).coeffs
-                 for phase, st in zip(for_integrand, traj.states))
+    geom = traj.geometry
+    integrand = (_phase(geom, -t) * nonlinearity(st).coeffs
+                 for t, st in zip(traj.times, traj.states))
     c0 = traj.states[0].coeffs
     out = np.empty(len(traj.times))
-    for m, (integral, phase) in enumerate(zip(simpson_prefix(integrand, traj.dt), for_state)):
-        pulled = phase * traj.states[m].coeffs
-        out[m] = sobolev_norm(SpectralField(traj.geometry, pulled - c0 + 1j * integral), beta)
+    for m, integral in enumerate(simpson_prefix(integrand, traj.dt)):
+        pulled = _phase(geom, -traj.times[m]) * traj.states[m].coeffs
+        out[m] = sobolev_norm(SpectralField(geom, pulled - c0 + 1j * integral), beta)
     return out
 
 
