@@ -171,9 +171,8 @@ def _verify_hierarchy(args):
                               lambda traj: _hier.hierarchy_duhamel_residual(traj, args.k))
     pw = _solver.plane_wave_trajectory(geom, (1,) * args.d, args.T, args.dt)
     pw_res = _hier.hierarchy_duhamel_residual(pw, args.k)
-    # the residual is rounding of a weighted trace norm that grows like vol^k
-    pw_mass = _hier.trace_norm(_hier.apply_sobolev_op(_hier.tensor_power(pw.states[0], args.k),
-                                                      -_hier.default_zeta(args.d)))
+    # the residual is rounding of a weighted trace norm, ||S^{-zeta} phi||^{2k} ~ vol^k
+    pw_mass = _torus.sobolev_norm(pw.states[0], -_hier.default_zeta(args.d)) ** (2 * args.k)
     print("plane-wave residual %.3e" % pw_res)
     print("plane-wave weighted mass %.3e  residual/mass %.3e" % (pw_mass, pw_res / pw_mass))
     ok = _halving_check("hierarchy k=%d" % args.k, residuals) and pw_res < 1e-9

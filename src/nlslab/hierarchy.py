@@ -7,9 +7,10 @@ products, term = (coefficient, k ket factors, k bra factors), with kernel
     gamma(x_1..x_k; x'_1..x'_k) = sum_m c_m prod_j f_{m,j}(x_j) conj(g_{m,j}(x'_j)).
 
 Dense order-k kernels are never formed outside small-grid oracle paths; trace
-norms come from a streamed QR of Khatri-Rao products (trace_norms), in which
-the kets of terms with one coefficient and bra, or the bras of terms with one
-coefficient and ket, are summed and reduced as one column.
+norms, weighted by S^{(k,alpha)} or not, come from a streamed QR of Khatri-Rao
+products (trace_norms), in which the kets of terms with one coefficient and
+bra, or the bras of terms with one coefficient and ket, are summed and reduced
+as one column.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (
-    SpectralField,
-    free_evolve,
-    pointwise_product,
-    product_field,
-    _sobolev_weight,
-)
+from .torus import free_evolve, pointwise_product, product_field, _sobolev_weight
 from .solver import simpson_weights
 
 __all__ = [
@@ -36,7 +31,6 @@ __all__ = [
     "collision_single",
     "collision_full",
     "hierarchy_free_evolve",
-    "apply_sobolev_op",
     "trace_norm",
     "trace_norms",
     "dense_kernel",
@@ -148,38 +142,16 @@ def collision_full(gamma):
     return _collisions(gamma, None)
 
 
-def _map_factors(gamma, fn):
-    """fn on every factor, once per distinct factor object: tensor powers
-    and collisions share factors between slots and terms, and the result
-    shares them the same way."""
-    once = _once_per_object(fn)
-    return FactorizedDensityMatrix(
-        gamma.order,
-        [(c, tuple(map(once, kets)), tuple(map(once, bras))) for c, kets, bras in gamma.terms],
-    )
-
-
 def hierarchy_free_evolve(gamma, t):
     """U^{(k)}(t): free evolution of every ket and bra factor with +t (the
-    bra side carries the conjugate phase through the kernel convention)."""
-    return _map_factors(gamma, lambda f: free_evolve(f, t))
-
-
-def apply_sobolev_op(gamma, alpha):
-    """S^{(k,alpha)}: a real Fourier multiplier on every ket and bra factor.
-
-    The weight is <lambda>^{alpha/2} with lambda = |xi|^2, the per-eigenvalue
-    Sobolev weight, so the rank-one trace identity is exact.
-    """
-    if not gamma.terms:
-        return gamma
-    # alpha/4 = (alpha/2)/2 exactly: sobolev_norm's cached H^{alpha/2} weight
-    w = _sobolev_weight(gamma.geometry, alpha / 2.0)
-
-    def mult(f):
-        return SpectralField(f.geometry, f.coeffs * w)
-
-    return _map_factors(gamma, mult)
+    bra side carries the conjugate phase through the kernel convention),
+    once per distinct factor object: tensor powers and collisions share
+    factors between slots and terms, and the result shares them the same way."""
+    evolve = _once_per_object(lambda f: free_evolve(f, t))
+    return FactorizedDensityMatrix(
+        gamma.order,
+        [(c, tuple(map(evolve, kets)), tuple(map(evolve, bras))) for c, kets, bras in gamma.terms],
+    )
 
 
 # Singular values below TRUNCATION times the largest are dropped from every
@@ -234,19 +206,21 @@ def _summed_terms(terms):
     return list(sums.values())
 
 
-def _reduced_matrices(gammas):
-    """Each term list as an r x r matrix T_kets diag(c) T_bras^H in one
-    orthonormal basis of the summed ket and bra sides of all the lists
-    (_summed_terms), so a side that sums products is one column.
+def _reduced_matrices(gammas, alpha):
+    """Each term list under S^{(k,alpha)} as an r x r matrix
+    T_kets diag(c) T_bras^H in one orthonormal basis of the summed ket and
+    bra sides of all the lists (_summed_terms), so a side that sums products
+    is one column.
 
     Factors are the same when their coefficient bytes are, and sides when
-    their products are.  Stage 0 takes the distinct factors to their
-    coordinates, and stage j each distinct (column prefix of j slots, factor
-    in slot j + 1) of the products to those of its Khatri-Rao product, so
-    each prefix is reduced once; the last stage reduces each side, a sum of
-    products, as one column, holding one matrix per place in the longest sum
-    (k for the collision sums of a defect).  Every stage is _khatri_rao_rows."""
-    vol = next(g.geometry.volume for g in gammas if g.terms)
+    their products are.  Stage 0 takes the distinct factors, each weighted
+    by S^{(1,alpha)}, to their coordinates, and stage j each distinct
+    (column prefix of j slots, factor in slot j + 1) of the products to
+    those of its Khatri-Rao product, so each prefix is reduced once; the
+    last stage reduces each side, a sum of products, as one column, holding
+    one matrix per place in the longest sum (k for the collision sums of a
+    defect).  Every stage is _khatri_rao_rows."""
+    geom = next(g.geometry for g in gammas if g.terms)
     index, by_bytes, columns, products = {}, {}, {}, {}
 
     def factor(f):
@@ -274,7 +248,10 @@ def _reduced_matrices(gammas):
         return [X[:, ids[m]] for m in members.T]
 
     factors = np.stack([c.ravel() for _, c in by_bytes.values()], axis=1)
-    factors *= math.sqrt(vol)
+    # S^{(1,alpha)} scales the rows by <lambda>^{alpha/2}, sobolev_norm's
+    # cached H^{alpha/2} weight, before sqrt(vol) scales them
+    factors *= _sobolev_weight(geom, alpha / 2).reshape(-1, 1)
+    factors *= math.sqrt(geom.volume)
     F = _khatri_rao_rows([factors], [np.ones((1, len(by_bytes)))])
     T, ids = F, slots[:, 0]
     for j in range(1, slots.shape[1] - 1):
@@ -287,16 +264,19 @@ def _reduced_matrices(gammas):
             for s in lists]
 
 
-def trace_norms(gammas):
-    """Trace (nuclear) norms of term lists of one order and geometry over
-    one orthonormal basis of all their columns, so lists that share factors
-    share its cost; accurate to rounding of the term mass at every size.
+def trace_norms(gammas, alpha=0.0):
+    """Trace (nuclear) norms of S^{(k,alpha)} gamma S^{(k,alpha)} for term
+    lists gamma of one order and geometry, over one orthonormal basis of all
+    their columns, so lists that share factors share its cost; accurate to
+    rounding of the term mass at every size.  S^{(k,alpha)} multiplies every
+    ket and bra factor by <lambda>^{alpha/2}, lambda = |xi|^2, the
+    per-eigenvalue Sobolev weight, so the rank-one trace identity is exact.
     Terms that share a coefficient and one side are one term whose other
     side, their sum, is reduced as one column (_reduced_matrices)."""
     if not any(g.terms for g in gammas):
         return [0.0] * len(gammas)
     return [float(np.linalg.svd(A, compute_uv=False).sum())
-            for A in _reduced_matrices(gammas)]
+            for A in _reduced_matrices(gammas, alpha)]
 
 
 def trace_norm(gamma):
@@ -378,10 +358,10 @@ def _interaction_defect(traj, k, m, integrand):
 
 def _defect_norms(traj, k, ms, integrand):
     """Trace norms under S^{(k,-zeta)}, zeta = default_zeta(d), of the defects
-    at the stored time indices ms, over one basis (trace_norms)."""
-    zeta = default_zeta(traj.geometry.d)
-    return trace_norms([apply_sobolev_op(_interaction_defect(traj, k, m, integrand), -zeta)
-                        for m in ms])
+    at the stored time indices ms, over one basis (trace_norms): the defects
+    share the integrand's factors unweighted, and the basis weights each once."""
+    return trace_norms([_interaction_defect(traj, k, m, integrand) for m in ms],
+                       -default_zeta(traj.geometry.d))
 
 
 def hierarchy_defect_matrix(traj, k, m):

@@ -567,6 +567,9 @@ OTHER_SMOKE = [
     ("verify hierarchy --d 3 --grid 16 --k 1 --T 0.2",
      [_PW_RESIDUAL, _PW_MASS,
       r"hierarchy k=1: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
+    ("verify hierarchy --d 3 --grid 16 --k 2 --T 0.2",
+     [_PW_RESIDUAL, _PW_MASS,
+      r"hierarchy k=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify lemma25 --m 3", ["m=%d defect %s" % (m, _NUM) for m in (1, 2, 3)]),
     ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
                               r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),

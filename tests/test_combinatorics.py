@@ -101,7 +101,7 @@ def test_expansion_budget_counts_the_defect(monkeypatch, k, r):
         counted.append(n)
         check(n, limit)
 
-    def spy_norms(gammas):
+    def spy_norms(gammas, alpha):
         ranks.extend(g.rank for g in gammas)
         return [0.0] * len(gammas)
 

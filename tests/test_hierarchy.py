@@ -12,7 +12,6 @@ from nlslab import torus as torus_module
 from nlslab.hierarchy import (
     FactorizedDensityMatrix,
     RankBudgetError,
-    apply_sobolev_op,
     collision_full,
     collision_single,
     default_zeta,
@@ -108,31 +107,57 @@ def test_trace_norm_matches_dense_oracle():
             assert abs(a - b) < 1e-10 * b, (k, gamma.rank, a, b)
 
 
+# the residual's weight exponent on the circle
+ALPHA = -default_zeta(1)
+
+
 def _checkpoint_defects(k):
-    # two checkpoints of one trajectory, with the residual's weighting: many
-    # stored times make the columns numerically rank-deficient
+    # two checkpoints of one trajectory, weighted by ALPHA in the residual:
+    # many stored times make the columns numerically rank-deficient
     traj = solve_nls(random_shell_field(GEOM32, 2, 2), 0.2, 0.004, coupling=-1.0)
-    return [apply_sobolev_op(hierarchy_defect_matrix(traj, k, m), -default_zeta(1))
-            for m in (25, 50)]
+    return [hierarchy_defect_matrix(traj, k, m) for m in (25, 50)]
 
 
-def _term_mass(gamma):
-    return sum(abs(c) * np.prod([l2_norm(f) for f in kets + bras])
+def _term_mass(gamma, alpha):
+    # the term mass of S^{(k,alpha)} gamma S^{(k,alpha)}
+    return sum(abs(c) * np.prod([sobolev_norm(f, alpha) for f in kets + bras])
                for c, kets, bras in gamma.terms)
 
 
 def test_truncated_and_untruncated_coordinates_agree(monkeypatch):
     for k in (1, 2, 3):
         gammas = _checkpoint_defects(k)
-        truncated = trace_norms(gammas)
-        rank = hierarchy_module._reduced_matrices(gammas)[0].shape[0]
+        truncated = trace_norms(gammas, ALPHA)
+        rank = hierarchy_module._reduced_matrices(gammas, ALPHA)[0].shape[0]
         monkeypatch.setattr(hierarchy_module, "TRUNCATION", 0.0)
-        full = trace_norms(gammas)
+        full = trace_norms(gammas, ALPHA)
         if k > 1:
-            assert hierarchy_module._reduced_matrices(gammas)[0].shape[0] > rank
+            assert hierarchy_module._reduced_matrices(gammas, ALPHA)[0].shape[0] > rank
         monkeypatch.undo()
         for a, b, g in zip(truncated, full, gammas):
-            assert abs(a - b) <= 1e-14 * _term_mass(g), (k, a, b)
+            assert abs(a - b) <= 1e-14 * _term_mass(g, ALPHA), (k, a, b)
+
+
+def _weighted_factors(gammas, alpha):
+    # S^{(k,alpha)} applied to the factors themselves: each becomes its
+    # coefficients times the H^{alpha/2} weight, once per object in each list
+    out = []
+    for g in gammas:
+        w = torus_module._sobolev_weight(g.geometry, alpha / 2)
+        weigh = hierarchy_module._once_per_object(
+            lambda f, w=w: SpectralField(f.geometry, f.coeffs * w))
+        out.append(FactorizedDensityMatrix(g.order, [
+            (c, tuple(map(weigh, kets)), tuple(map(weigh, bras))) for c, kets, bras in g.terms]))
+    return out
+
+
+def test_weighted_trace_norms_are_those_of_weighted_factors():
+    # the weight scales the factor stack's rows before sqrt(vol): the same
+    # rounding as weighting every factor first, so the norms agree bit for bit
+    for k in (1, 2, 3):
+        gammas = _checkpoint_defects(k)
+        for alpha in (ALPHA, 0.7):
+            assert trace_norms(gammas, alpha) == trace_norms(_weighted_factors(gammas, alpha))
 
 
 def test_last_stage_reduces_each_summed_side_once(monkeypatch):
@@ -148,7 +173,7 @@ def test_last_stage_reduces_each_summed_side_once(monkeypatch):
         return khatri_rao_rows(T, V)
 
     monkeypatch.setattr(hierarchy_module, "_khatri_rao_rows", spy)
-    trace_norms(_checkpoint_defects(3))
+    trace_norms(_checkpoint_defects(3), ALPHA)
     assert widths[-1] == 2 * 51
 
 
@@ -158,11 +183,32 @@ def test_trace_norms_peak_memory():
     gammas = _checkpoint_defects(3)
     tracemalloc.start()
     try:
-        trace_norms(gammas)
+        trace_norms(gammas, ALPHA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20, peak / 2 ** 20
+
+
+def test_defect_norms_weight_the_shared_integrand_once():
+    # the four checkpoint defects of k = 1 on the 16^3 torus share the
+    # integrand's factors, and the factor stack weights each distinct one:
+    # the peak is 2.33 times the integrand's coefficient bytes, against 4.91
+    # with a weighted copy of the integrand per defect
+    geom = TorusGeometry(3, (1.0, 1.0, 1.0), (16, 16, 16))
+    traj = solve_nls(random_shell_field(geom, 2, 0), 0.2, 4e-3)
+    M = len(traj.times) - 1
+    integrand = hierarchy_module._pulled_back_collisions(traj, 1, M)
+    factors = {id(f): f.coeffs.nbytes
+               for g in integrand for _, kets, bras in g.terms for f in kets + bras}
+    tracemalloc.start()
+    try:
+        hierarchy_module._defect_norms(traj, 1, {int(round(i * M / 4)) for i in range(1, 5)},
+                                       integrand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * sum(factors.values()), peak / sum(factors.values())
 
 
 def test_factor_coordinates_hold_no_copy_past_the_byte_keys():
@@ -189,10 +235,10 @@ def test_factor_coordinates_hold_no_copy_past_the_byte_keys():
 def test_trace_norms_share_one_basis_and_match_single_calls():
     for k in (2, 3):
         gammas = _checkpoint_defects(k)
-        together = trace_norms(gammas)
+        together = trace_norms(gammas, ALPHA)
         assert len(together) == 2
         for a, g in zip(together, gammas):
-            assert abs(a - trace_norm(g)) <= 1e-14 * _term_mass(g)
+            assert abs(a - trace_norms([g], ALPHA)[0]) <= 1e-14 * _term_mass(g, ALPHA)
     assert trace_norms([FactorizedDensityMatrix(2, [])]) == [0.0]
 
 
@@ -216,8 +262,7 @@ def test_trace_identity_weighted():
     phi = _rand(GEOM, 2)
     for k in (1, 2, 3):
         for s in (0.0, 0.5, 1.0):
-            gamma = apply_sobolev_op(tensor_power(phi, k), s)
-            lhs = trace_norm(gamma)
+            lhs = trace_norms([tensor_power(phi, k)], s)[0]
             rhs = sobolev_norm(phi, s) ** (2 * k)
             assert abs(lhs - rhs) < 1e-10 * rhs
 
@@ -356,17 +401,17 @@ def test_free_evolution_is_isospectral():
 
 
 def test_sobolev_op_conventions():
-    phi = mode_field(GEOM, (2,))  # lambda = 4
-    g1 = apply_sobolev_op(tensor_power(phi, 1), 1.0)
-    expect = (1.0 + 16.0) ** 0.25
-    assert abs(g1.terms[0][1][0].coeffs[2] - expect) < 1e-12
+    # S^{(1,alpha)} multiplies the lambda = 4 mode by (1 + 16)^{alpha/4} on
+    # each side, so its rank-one trace norm is vol (1 + 16)^{alpha/2}
+    phi = mode_field(GEOM, (2,))
+    for alpha in (1.0, -0.35):
+        expect = GEOM.volume * (1.0 + 16.0) ** (alpha / 2)
+        assert abs(trace_norms([tensor_power(phi, 1)], alpha)[0] - expect) < 1e-12 * expect
     # the shared H^{alpha/2} weight is bit for bit the alpha/4 power
     lam = torus_module._freq_sq(GEOM)
-    phi = _rand(GEOM, 13)
     for alpha in (1.0, -0.35, 0.7, -1.1):
-        (_, kets, bras), = apply_sobolev_op(tensor_power(phi, 1), alpha).terms
-        want = phi.coeffs * (1.0 + lam ** 2) ** (alpha / 4.0)
-        assert np.array_equal(kets[0].coeffs, want) and np.array_equal(bras[0].coeffs, want)
+        want = (1.0 + lam ** 2) ** (alpha / 4.0)
+        assert np.array_equal(torus_module._sobolev_weight(GEOM, alpha / 2), want)
 
 
 def test_rank_budget_enforced(monkeypatch):
@@ -428,9 +473,9 @@ def test_defect_matrix_is_the_lab_frame_defect_pulled_back():
             got = hierarchy_defect_matrix(traj, k, m)
             ref = _lab_frame_defect(traj, k, m)
             assert got.rank == ref.rank
-            for alpha in (0.0, -default_zeta(1)):
-                a = trace_norm(apply_sobolev_op(got, alpha))
-                b = trace_norm(apply_sobolev_op(ref, alpha))
+            for alpha in (0.0, ALPHA):
+                a = trace_norms([got], alpha)[0]
+                b = trace_norms([ref], alpha)[0]
                 assert abs(a - b) <= 1e-12 * b, (k, m, alpha, a, b)
 
 
