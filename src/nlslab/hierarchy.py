@@ -10,11 +10,12 @@ Dense order-k kernels are never formed outside small-grid oracle paths; trace
 norms, weighted by S^{(k,alpha)} or not, come from a streamed QR of Khatri-Rao
 products (trace_norms), in which the kets of terms with one coefficient and
 bra, or the bras of terms with one coefficient and ket, are summed and reduced
-as one column.
+as one column, factored by Horner's rule on the last factors of its products.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -214,18 +215,30 @@ def _reduced_matrices(gammas, alpha):
 
     Factors are the same when their coefficient bytes are, and sides when
     their products are.  Stage 0 takes the distinct factors, each weighted
-    by S^{(1,alpha)}, to their coordinates, and stage j each distinct
-    (column prefix of j slots, factor in slot j + 1) of the products to
-    those of its Khatri-Rao product, so each prefix is reduced once; the
-    last stage reduces each side, a sum of products, as one column, holding
-    one matrix per place in the longest sum (k for the collision sums of a
-    defect).  Every stage is _khatri_rao_rows."""
+    by S^{(1,alpha)}, to their coordinates F.  Each side is then factored by
+    Horner's rule: a sum of products of j factors is the sum, over its
+    distinct last factors f, of (the sum of the prefixes that end before f)
+    (x) F[f], and each prefix sum is factored the same way one level down.
+    Stage j reduces every distinct prefix sum of j + 1 factors as one column
+    of as many summands as it has last factors; a sum of single factors is
+    the sum of their coordinates.  The collision sum (B, phi, .., phi) +
+    .. + (phi, .., phi, B) of a stored time takes two prefix sums per stage,
+    of at most two summands each.  Every stage is _khatri_rao_rows."""
     geom = next(g.geometry for g in gammas if g.terms)
-    index, by_bytes, columns, products = {}, {}, {}, {}
+    index, buckets, coeffs, columns = {}, {}, [], {}
 
     def factor(f):
+        # no copy of the bytes is kept: bucket by a digest of the buffer, read
+        # in place, and confirm a match byte for byte
         if id(f) not in index:
-            index[id(f)], _ = by_bytes.setdefault(f.coeffs.tobytes(), (len(by_bytes), f.coeffs))
+            data = f.coeffs.view(np.uint8)
+            bucket = buckets.setdefault(hashlib.blake2b(data).digest(), [])
+            i = next((i for i in bucket if np.array_equal(coeffs[i].view(np.uint8), data)),
+                     len(coeffs))
+            if i == len(coeffs):
+                bucket.append(i)
+                coeffs.append(f.coeffs)
+            index[id(f)] = i
         return index[id(f)]
 
     def column(side):
@@ -235,31 +248,38 @@ def _reduced_matrices(gammas, alpha):
                  [(c, tuple(map(factor, kets)), tuple(map(factor, bras)))
                   for c, kets, bras in g.terms])]
              for g in gammas]
-    # row c: the products summed in column c, padded with -1
-    width = max(map(len, columns))
-    members = np.array([[products.setdefault(p, len(products)) for p in side]
-                        + [-1] * (width - len(side)) for side in columns])
-    slots = np.array(list(products))
+    # Horner's rule, one level per slot from the last: for each sum of
+    # products of j factors, the ids of its prefix sums of j - 1 factors
+    # (the distinct sums of one level down) and their last factors
+    levels, sums = [], list(columns)
+    for _ in range(gammas[0].order - 1):
+        below, prefixes, lasts = {}, [], []
+        for s in sums:
+            by_last = {}
+            for p in s:
+                by_last.setdefault(p[-1], []).append(p[:-1])
+            prefixes.append([below.setdefault(tuple(sorted(pre)), len(below))
+                             for pre in by_last.values()])
+            lasts.append(list(by_last))
+        levels.append((prefixes, lasts))
+        sums = list(below)
 
-    def summands(X, ids):
-        """X[:, ids[p]] for the i-th product p of every column, for each i;
-        a zero column past the end of a sum."""
-        X, ids = np.pad(X, ((0, 0), (0, 1))), np.append(ids, -1)
-        return [X[:, ids[m]] for m in members.T]
+    def summands(X, rows):
+        """X[:, r[i]] over the rows r, for each place i; a zero column past
+        the end of a row."""
+        X = np.pad(X, ((0, 0), (0, 1)))
+        return [X[:, [r[i] if i < len(r) else -1 for r in rows]]
+                for i in range(max(map(len, rows)))]
 
-    factors = np.stack([c.ravel() for _, c in by_bytes.values()], axis=1)
+    factors = np.stack([c.ravel() for c in coeffs], axis=1)
     # S^{(1,alpha)} scales the rows by <lambda>^{alpha/2}, sobolev_norm's
     # cached H^{alpha/2} weight, before sqrt(vol) scales them
     factors *= _sobolev_weight(geom, alpha / 2).reshape(-1, 1)
     factors *= math.sqrt(geom.volume)
-    F = _khatri_rao_rows([factors], [np.ones((1, len(by_bytes)))])
-    T, ids = F, slots[:, 0]
-    for j in range(1, slots.shape[1] - 1):
-        pairs, ids = np.unique(np.stack([ids, slots[:, j]], axis=1), axis=0,
-                               return_inverse=True)
-        T = _khatri_rao_rows([T[:, pairs[:, 0]]], [F[:, pairs[:, 1]]])
-    last = summands(F, slots[:, -1])
-    T = sum(last) if slots.shape[1] == 1 else _khatri_rao_rows(summands(T, ids.ravel()), last)
+    F = _khatri_rao_rows([factors], [np.ones((1, len(coeffs)))])
+    T = sum(summands(F, [[p[0] for p in s] for s in sums]))
+    for prefixes, lasts in reversed(levels):
+        T = _khatri_rao_rows(summands(T, prefixes), summands(F, lasts))
     return [(T[:, [t[1] for t in s]] * [t[0] for t in s]) @ T[:, [t[2] for t in s]].conj().T
             for s in lists]
 

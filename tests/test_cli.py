@@ -575,6 +575,8 @@ OTHER_SMOKE = [
                               r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify expansion --T 0.1 --dt 0.02",
      [r"expansion r=2: %s -> %s  \(ratio \d\.\d{3}\)" % (_NUM, _NUM)]),
+    ("verify expansion --k 3 --T 0.1 --dt 0.02",
+     [r"expansion r=2: %s -> %s  \(ratio \d\.\d{3}\)" % (_NUM, _NUM)]),
     ("combinatorics enumerate --k 2 --r 2",
      [re.escape("2 2 : %d %d" % (a, b)) for a in (1, 2) for b in (1, 2, 3)]),
     ("combinatorics count --k 3 --r 4", ["360"]),

@@ -107,6 +107,36 @@ def test_trace_norm_matches_dense_oracle():
             assert abs(a - b) < 1e-10 * b, (k, gamma.rank, a, b)
 
 
+def _shared_last_factor_list(geom, k, seed):
+    # a ket sum and a bra sum whose products share last factors, and whose
+    # prefixes share theirs one level down; the ket sum holds (.., a, b, d)
+    # twice, the second time through a byte-equal copy of a
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (_rand(geom, rng.integers(1 << 30)) for _ in range(4))
+    copy = SpectralField(geom, a.coeffs.copy())
+    pre = (c,) * (k - 3)
+
+    def coeff():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    c1, c2, bra = coeff(), coeff(), (d, b) + pre + (a,)
+    kets = [pre + p for p in ((a, b, d), (b, a, d), (c, a, d), (a, b, c), (copy, b, d))]
+    bras = [pre + p for p in ((a, c, b), (c, a, b), (b, b, b), (a, c, d))]
+    return FactorizedDensityMatrix(k, [(c1, ket, bra) for ket in kets]
+                                   + [(c2, (b,) * k, br) for br in bras]
+                                   + [(coeff(), (a, d) + pre + (c,), (b, c) + pre + (d,))])
+
+
+def test_horner_factored_sides_match_dense_oracle():
+    # k = 4 on the 6-point circle: its dense kernel has 6^4 rows, against
+    # 8^4 on the 8-point circle, whose SVD alone takes half a minute
+    for k, geom in ((3, GEOM), (4, TorusGeometry(1, (1.0,), (6,)))):
+        for seed in range(2):
+            gamma = _shared_last_factor_list(geom, k, 10 * k + seed)
+            a, b = trace_norm(gamma), dense_trace_norm(gamma)
+            assert abs(a - b) < 1e-10 * b, (k, seed, a, b)
+
+
 # the residual's weight exponent on the circle
 ALPHA = -default_zeta(1)
 
@@ -177,9 +207,33 @@ def test_last_stage_reduces_each_summed_side_once(monkeypatch):
     assert widths[-1] == 2 * 51
 
 
+def test_stage1_reduces_two_prefix_sums_per_stored_time(monkeypatch):
+    # Horner's rule on the collision sum (B, phi, phi) + (phi, B, phi) +
+    # (phi, phi, B) of a stored time: the last stage adds
+    # ((B, phi) + (phi, B)) (x) phi and (phi, phi) (x) B, so stage 1 reduces
+    # the prefix sums (phi, phi) and (B, phi) + (phi, B), not the 3 distinct
+    # prefixes, and no column of either stage has more than 2 summands
+    shapes = []
+
+    def spy(T, V, khatri_rao_rows=hierarchy_module._khatri_rao_rows):
+        shapes.append(np.shape(T))
+        return khatri_rao_rows(T, V)
+
+    traj = solve_nls(random_shell_field(GEOM32, 2, 2), 0.2, 0.004, coupling=-1.0)
+    m = 25
+    gamma = hierarchy_defect_matrix(traj, 3, m)
+    monkeypatch.setattr(hierarchy_module, "_khatri_rao_rows", spy)
+    trace_norm(gamma)
+    # the factors, then stage 1 and the last stage: (summands, rows, columns)
+    assert len(shapes) == 3
+    assert shapes[1][0] == 2 and shapes[1][2] == 2 * (m + 1)
+    assert shapes[2][0] <= 2 and shapes[2][2] == 2 * (m + 1)
+
+
 def test_trace_norms_peak_memory():
     # the k = 3 checkpoints peak at 6.9 MiB when every product is its own
-    # column of the last stage, and at 3.2 MiB with summed sides
+    # column of the last stage, at 3.2 MiB with summed sides, and at 1.8 MiB
+    # with the summed sides factored by their last factors
     gammas = _checkpoint_defects(3)
     tracemalloc.start()
     try:
@@ -187,7 +241,7 @@ def test_trace_norms_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2 ** 20, peak / 2 ** 20
+    assert peak < 2.5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_defect_norms_weight_the_shared_integrand_once():
@@ -211,25 +265,31 @@ def test_defect_norms_weight_the_shared_integrand_once():
     assert peak < 3.5 * sum(factors.values()), peak / sum(factors.values())
 
 
-def test_factor_coordinates_hold_no_copy_past_the_byte_keys():
-    # the factors' coordinates come from the blocked QR of their stack: 60
-    # terms over 40 full-band factors on the 16^3 torus peak at 2.09 times
-    # the factors' coefficient bytes (the byte keys and the stack); a full
-    # SVD of a joined copy of the keys peaks at 4.05 times, and the value
-    # is that SVD's
+def test_factor_coordinates_hold_no_copy_past_the_stack():
+    # the factors' coordinates come from the blocked QR of their stack, and
+    # the distinct factors are found by a digest of their bytes, read in
+    # place: 60 terms over 40 full-band factors on the 16^3 torus, their
+    # bras byte-equal copies of their kets' factors, peak at 1.09 times the
+    # factors' coefficient bytes; byte keys copied each factor once more
+    # (2.09 times), and a full SVD of a joined copy of the keys peaked at
+    # 4.05 times, with that SVD's value
     geom = TorusGeometry(3, (1.0, 1.0, 1.0), (16, 16, 16))
     fs = [_rand(geom, seed) for seed in range(40)]
+    copies = [SpectralField(geom, f.coeffs.copy()) for f in fs]
     cs = _rand(TorusGeometry(1, (1.0,), (60,)), 40).coeffs
     gamma = FactorizedDensityMatrix(
-        1, [(complex(cs[i]), (fs[i % 40],), (fs[7 * i % 40],)) for i in range(60)])
+        1, [(complex(cs[i]), (fs[i % 40],), (copies[7 * i % 40],)) for i in range(60)])
     tracemalloc.start()
     try:
         value = trace_norm(gamma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * sum(f.coeffs.nbytes for f in fs), peak
+    assert peak < 1.5 * sum(f.coeffs.nbytes for f in fs), peak
     assert abs(value - 115542524.80624637) <= 1e-12 * value
+    shared = FactorizedDensityMatrix(
+        1, [(complex(cs[i]), (fs[i % 40],), (fs[7 * i % 40],)) for i in range(60)])
+    assert trace_norm(shared) == value
 
 
 def test_trace_norms_share_one_basis_and_match_single_calls():
