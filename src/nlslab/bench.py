@@ -130,9 +130,9 @@ def _sweep(name, params, columns, d, N_list, trials, seed, ratios, row, fitted=N
     each block N the square torus gets max(8, 4N) points per axis, and
     ratios(geom, N, rng) yields (label, ratio) pairs.  The largest ratio of
     each label, in the order the labels first appear, becomes the row
-    row(N, label, best).  The slope is fit_exponent of the per-block maximum
-    over the labels in fitted (all labels when None), so the footer says
-    fit = block.
+    row(N, label, best); a ratio that is not finite is an error.  The slope
+    is fit_exponent of the per-block maximum over the labels in fitted (all
+    labels when None), so the footer says fit = block.
     """
     rng = np.random.default_rng(seed)
     rows, peaks = [], []
@@ -140,6 +140,8 @@ def _sweep(name, params, columns, d, N_list, trials, seed, ratios, row, fitted=N
         geom = TorusGeometry(d, (1.0,) * d, (max(8, 4 * N),) * d)
         best = {}
         for label, ratio in ratios(geom, N, rng):
+            if not math.isfinite(ratio):
+                raise ValueError("%s ratio is %g at N=%d, label %s" % (name, ratio, N, label))
             if ratio > best.setdefault(label, 0.0):
                 best[label] = ratio
         rows.extend(row(N, label, r) for label, r in best.items())
@@ -452,8 +454,8 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
         raise ValueError("need zeta > zeta0 = %s" % (pars.zeta0,))
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    if not T > 0:
-        raise ValueError("need T > 0, not %g" % T)
+    if not 0 < T < math.inf:
+        raise ValueError("need T > 0 and finite, not %g" % T)
 
     def ratios(geom, N, rng):
         for _ in range(trials):

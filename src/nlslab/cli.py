@@ -138,45 +138,53 @@ def _halving_check(name, residuals):
     return ok
 
 
-def _random_initial(d, grid, block, seed):
-    geom = _torus.TorusGeometry(d, (1.0,) * d, (grid,) * d)
-    return geom, _torus.random_shell_field(geom, block, seed)
+def _verify(name, measure, exact=lambda traj, args: ([], True),
+            budget=lambda args, m: None, runs=2):
+    """The run of a halving check: measure(traj, args) of one seeded solution
+    up to T at the steps dt, dt/2, ... (runs of them) must fall by a ratio in
+    HALVING_WINDOW at each halving, and exact(coarse traj, args) -> (lines,
+    ok), a check on an exact solution, must pass.  T, dt and budget(args, m)
+    at each run's last stored time index m are checked before any solve."""
+    def run(args):
+        steps = [args.dt / 2 ** i for i in range(runs)]
+        for dt in steps:
+            budget(args, len(_solver._time_grid(args.T, dt)) - 1)
+        d = getattr(args, "d", 1)
+        geom = _torus.TorusGeometry(d, (1.0,) * d, (args.grid,) * d)
+        phi0 = _torus.random_shell_field(geom, args.block, args.seed)
+        coarse = _solver.solve_nls(phi0, args.T, args.dt)
+        values = [measure(coarse, args)] + [
+            measure(_solver.solve_nls(phi0, args.T, dt), args) for dt in steps[1:]]
+        if getattr(args, "dump", None):
+            _report.write_trajectory(coarse, args.dump)
+            print("wrote %s" % args.dump)
+        lines, ok = exact(coarse, args)
+        for line in lines:
+            print(line)
+        ok = _halving_check(name % vars(args), values) and ok
+        return 0 if ok else 2
+    return run
 
 
-def _halving_runs(phi0, args, measure, runs=2):
-    """measure(trajectory) of phi0 up to T at the steps dt, dt/2, ..."""
-    return [measure(_solver.solve_nls(phi0, args.T, args.dt / 2 ** i)) for i in range(runs)]
+def _mass_drift(traj, args):
+    m0 = _solver.mass(traj.states[0])
+    drift = max(abs(_solver.mass(st) - m0) for st in traj.states) / m0
+    return ["relative mass drift %.3e" % drift], drift < 1e-11
 
 
-def _verify_duhamel(args):
-    geom, phi0 = _random_initial(args.d, args.grid, args.block, args.seed)
-    trajs = _halving_runs(phi0, args, lambda traj: traj, runs=3)
-    residuals = [_solver.duhamel_residual(traj) for traj in trajs]
-    drift = max(abs(_solver.mass(st) - _solver.mass(phi0))
-                for st in trajs[0].states) / _solver.mass(phi0)
-    print("relative mass drift %.3e" % drift)
-    if args.dump:
-        _report.write_trajectory(trajs[0], args.dump)
-        print("wrote %s" % args.dump)
-    ok = _halving_check("duhamel", residuals) and drift < 1e-11
-    return 0 if ok else 2
-
-
-def _verify_hierarchy(args):
-    # the term counts follow from k and T/dt: check each run's before solving any
-    for dt in (args.dt, args.dt / 2):
-        _hier.check_defect_budget(args.k, int(round(args.T / dt)))
-    geom, phi0 = _random_initial(args.d, args.grid, args.block, args.seed)
-    residuals = _halving_runs(phi0, args,
-                              lambda traj: _hier.hierarchy_duhamel_residual(traj, args.k))
-    pw = _solver.plane_wave_trajectory(geom, (1,) * args.d, args.T, args.dt)
-    pw_res = _hier.hierarchy_duhamel_residual(pw, args.k)
+def _plane_wave(traj, args):
+    pw = _solver.plane_wave_trajectory(traj.geometry, (1,) * args.d, args.T, args.dt)
+    res = _hier.hierarchy_duhamel_residual(pw, args.k)
     # the residual is rounding of a weighted trace norm, ||S^{-zeta} phi||^{2k} ~ vol^k
-    pw_mass = _torus.sobolev_norm(pw.states[0], -_hier.default_zeta(args.d)) ** (2 * args.k)
-    print("plane-wave residual %.3e" % pw_res)
-    print("plane-wave weighted mass %.3e  residual/mass %.3e" % (pw_mass, pw_res / pw_mass))
-    ok = _halving_check("hierarchy k=%d" % args.k, residuals) and pw_res < 1e-9
-    return 0 if ok else 2
+    mass = _torus.sobolev_norm(pw.states[0], -_hier.default_zeta(args.d)) ** (2 * args.k)
+    return ["plane-wave residual %.3e" % res,
+            "plane-wave weighted mass %.3e  residual/mass %.3e" % (mass, res / mass)], res < 1e-9
+
+
+def _gauged_plane_wave(traj, args):
+    wave = _torus.mode_field(traj.geometry, (1,))
+    defect = np.abs(_fl.renormalized_nonlinearity(wave).coeffs + wave.coeffs).max()
+    return ["renormalized nonlinearity on e^{ix}: defect %.3e" % defect], defect < 1e-14
 
 
 def _verify_lemma25(args):
@@ -195,27 +203,6 @@ def _verify_lemma25(args):
         worst = max(worst, err)
         print("m=%d defect %.3e" % (m, err))
     return 0 if worst < args.tol else 2
-
-
-def _verify_gauge(args):
-    geom, phi0 = _random_initial(1, args.grid, args.block, args.seed)
-    residuals = _halving_runs(phi0, args, _fl.renormalized_duhamel_residual)
-    pw = _fl.renormalized_nonlinearity(_torus.mode_field(geom, (1,)))
-    exact = np.abs(pw.coeffs + _torus.mode_field(geom, (1,)).coeffs).max()
-    print("renormalized nonlinearity on e^{ix}: defect %.3e" % exact)
-    ok = _halving_check("gauge", residuals) and exact < 1e-14
-    return 0 if ok else 2
-
-
-def _verify_expansion(args):
-    for dt in (args.dt, args.dt / 2):
-        _comb.check_expansion_budget(args.k, args.r, int(round(args.T / dt)))
-    geom, phi0 = _random_initial(1, args.grid, args.block, args.seed)
-    vals = _halving_runs(phi0, args,
-                         lambda traj: _comb.expansion_consistency(traj, args.k, args.r))
-    print("expansion r=%d: %.4e -> %.4e  (ratio %.3f)" % (
-        args.r, vals[0], vals[1], vals[0] / vals[1]))
-    return 0 if vals[1] < vals[0] and vals[0] / vals[1] > 2.0 else 2
 
 
 def _params_table(args):
@@ -360,12 +347,15 @@ COMMANDS = (
             (Opt("--d", int, 2, "torus dimension"),
              Opt("--dump", None, None, "write the coarse trajectory to this path"))
             + _evolution(32, 0.5, 4e-3),
-            _verify_duhamel),
+            _verify("duhamel", lambda traj, a: _solver.duhamel_residual(traj), _mass_drift,
+                    runs=3)),
     Command("verify hierarchy", "factorized-hierarchy residual halving",
             "hierarchy.hierarchy_duhamel_residual",
             (Opt("--d", int, 1, "torus dimension"), Opt("--k", int, 1, "order k"))
             + _evolution(32, 0.5, 4e-3),
-            _verify_hierarchy),
+            _verify("hierarchy k=%(k)d",
+                    lambda traj, a: _hier.hierarchy_duhamel_residual(traj, a.k), _plane_wave,
+                    lambda a, m: _hier.check_defect_budget(a.k, m))),
     Command("verify lemma25", "product-expansion identity with random cubic data",
             "combinatorics.verify_product_identity",
             (Opt("--m", int, 4, "largest number of factors, 1 to %d"
@@ -373,12 +363,16 @@ COMMANDS = (
              Opt("--tol", float, 1e-10, "largest accepted defect")),
             _verify_lemma25),
     Command("verify gauge", "renormalized mild equation after the mass gauge",
-            "fl1d.renormalized_duhamel_residual", _evolution(64, 0.2, 4e-3), _verify_gauge),
+            "fl1d.renormalized_duhamel_residual", _evolution(64, 0.2, 4e-3),
+            _verify("gauge", lambda traj, a: _fl.renormalized_duhamel_residual(traj),
+                    _gauged_plane_wave)),
     Command("verify expansion", "iterated hierarchy expansion consistency",
             "combinatorics.expansion_consistency",
             (Opt("--k", int, 1, "order k"), Opt("--r", int, 2, "expansion depth r, 1 or 2"))
             + _evolution(32, 0.2, 0.025),
-            _verify_expansion),
+            _verify("expansion r=%(r)d",
+                    lambda traj, a: _comb.expansion_consistency(traj, a.k, a.r),
+                    budget=lambda a, m: _comb.check_expansion_budget(a.k, a.r, m))),
     Command("combinatorics enumerate", "one map per line: 'k r : values'",
             "combinatorics.enumerate_collision_maps", (_K, _R, _OUT),
             lambda a: [str(s) for s in _comb.enumerate_collision_maps(a.k, a.r)]),

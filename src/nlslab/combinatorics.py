@@ -134,12 +134,12 @@ def verify_product_identity(m, F, G, t):
 
 
 def check_expansion_budget(k, r, m):
-    """Raise ValueError unless r is 1 or 2, and RankBudgetError unless the
-    order-k depth-r defect at stored time index m fits EXPANSION_BUDGET:
-    2 + 2k (m+1) terms at r = 1; at r = 2, 2k per term of every g(t_i), 1 at
-    i = 0 and 1 + 2(k+1)(i+1) after.  Every list built on the way is shorter."""
-    if r not in (1, 2):
-        raise ValueError("r must be 1 or 2")
+    """Raise ValueError unless k >= 1 and r is 1 or 2, and RankBudgetError
+    unless the order-k depth-r defect at stored time index m fits
+    EXPANSION_BUDGET: 2 + 2k (m+1) terms at r = 1; at r = 2, 2k per term of
+    every g(t_i), 1 at i = 0 and 1 + 2(k+1)(i+1) after; no list built is longer."""
+    if k < 1 or r not in (1, 2):
+        raise ValueError("need k >= 1 and r 1 or 2, not k=%d, r=%d" % (k, r))
     inner = 1 + m if r == 1 else 1 + m + (k + 1) * m * (m + 3)
     _check_budget(2 + 2 * k * inner, EXPANSION_BUDGET)
 

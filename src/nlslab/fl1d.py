@@ -154,12 +154,12 @@ def mean_density(phi):
     return 2.0 * mass(phi) / phi.geometry.volume
 
 
-def gauge_transform(traj, sign=1.0):
-    """psi(t) = e^{i sign mu m t} phi(t) with m twice the mean density of the
-    initial state; sign = -1 undoes the gauge."""
+def gauge_transform(traj):
+    """psi(t) = e^{i mu m t} phi(t) with m twice the mean density of the
+    initial state."""
     m = mean_density(traj.states[0])
     states = [
-        SpectralField(st.geometry, np.exp(1j * sign * traj.coupling * m * t) * st.coeffs)
+        SpectralField(st.geometry, np.exp(1j * traj.coupling * m * t) * st.coeffs)
         for t, st in zip(traj.times, traj.states)
     ]
     return Trajectory(traj.geometry, traj.times.copy(), states, traj.coupling)
@@ -193,7 +193,8 @@ def renormalized_duhamel_residual(traj):
 
 
 def _check_refinement(value, refined, name):
-    if abs(refined - value) > _REFINEMENT_TOL * abs(value):
+    """Raise unless refined is within _REFINEMENT_TOL of value; NaN never is."""
+    if not abs(refined - value) <= _REFINEMENT_TOL * abs(value):
         raise RuntimeError(
             "%s not resolved in time: %g vs %g on refinement" % (name, value, refined)
         )

@@ -309,23 +309,25 @@ DENSE_MAX_SIZE = 4096
 
 
 def dense_kernel(gamma):
-    """Dense kernel matrix of shape (n^k, n^k); small-grid oracle only."""
+    """Dense kernel matrix of shape (n^k, n^k), one product (K diag(c)) B^H
+    of the terms' ket and bra Kronecker vectors, stacked as the columns of K
+    and B; small-grid oracle only."""
     if gamma.rank == 0:
         raise ValueError("empty term list has no geometry")
     n = gamma.geometry.npoints
     dim = n ** gamma.order
     if dim > DENSE_MAX_SIZE:
         raise RankBudgetError("dense kernel dimension %d exceeds %d" % (dim, DENSE_MAX_SIZE))
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for c, kets, bras in gamma.terms:
-        kv = np.array([1.0 + 0.0j])
-        bv = np.array([1.0 + 0.0j])
-        for f in kets:
-            kv = np.kron(kv, f.coeffs.ravel())
-        for g in bras:
-            bv = np.kron(bv, g.coeffs.ravel())
-        out += c * np.outer(kv, bv.conj())
-    return out
+    coeffs, kets, bras = zip(*gamma.terms)
+
+    def kron_columns(sides):
+        cols = np.ones((1, gamma.rank), dtype=np.complex128)
+        for slot in zip(*sides):
+            f = np.stack([g.coeffs.ravel() for g in slot], axis=1)
+            cols = (cols[:, None, :] * f[None, :, :]).reshape(-1, gamma.rank)
+        return cols
+
+    return (kron_columns(kets) * np.array(coeffs)) @ kron_columns(bras).conj().T
 
 
 def dense_trace_norm(gamma):
@@ -346,9 +348,11 @@ def default_zeta(d):
 
 
 def check_defect_budget(k, m):
-    """Raise RankBudgetError unless the order-k defect at stored time index m,
-    two tensor powers and, for m > 0, 2k collision terms per stored time
-    0..m, fits DEFAULT_RANK_BUDGET: checked before any term is built."""
+    """Raise ValueError unless k >= 1, and RankBudgetError unless the order-k
+    defect at stored time index m, two tensor powers and, for m > 0, 2k collision
+    terms per stored time 0..m, fits DEFAULT_RANK_BUDGET, before any term is built."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     _check_budget(2 + 2 * k * (m + 1 if m else 0), DEFAULT_RANK_BUDGET)
 
 
@@ -405,11 +409,9 @@ def hierarchy_duhamel_residual(traj, k):
     times including the final one, whose rank is checked first.  The integral
     uses the full stored grid; its integrand and the basis of the trace norms
     are shared by the checkpoints (_defect_norms)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     M = len(traj.times) - 1
+    check_defect_budget(k, M)
     if M < 2:
         raise ValueError("need at least 3 time points")
-    check_defect_budget(k, M)
     return max(_defect_norms(traj, k, {int(round(i * M / 4)) for i in range(1, 5)},
                              _pulled_back_collisions(traj, k, M)))

@@ -134,10 +134,7 @@ def read_manifest(path):
 
 # ---------------------------------------------------------------------------
 # binary trajectory dump: fixed header, then one coefficient block per stored
-# time, little-endian complex128 in format version 2 (version 1 files, whose
-# blocks are complex64, stay readable)
-
-_PAYLOAD_DTYPES = {1: "<c8", 2: "<c16"}
+# time, little-endian complex128 in format version 2
 
 
 def write_trajectory(traj, path):
@@ -170,22 +167,21 @@ def read_trajectory(path):
         raise ValueError("bad magic in %s" % path)
     _check_length(path, data, 16)
     version, d = struct.unpack_from("<II", data, 8)
-    if version not in _PAYLOAD_DTYPES:
+    if version != 2:
         raise ValueError("unsupported trajectory format version %d" % version)
-    dtype = np.dtype(_PAYLOAD_DTYPES[version])
     off = 16 + 12 * d + 16
     _check_length(path, data, off)
     thetas = struct.unpack_from("<%dd" % d, data, 16)
     grid = struct.unpack_from("<%dI" % d, data, 16 + 8 * d)
     coupling, nt = struct.unpack_from("<dQ", data, 16 + 12 * d)
-    _check_length(path, data, off + nt * (8 + dtype.itemsize * math.prod(grid)), exact=True)
+    _check_length(path, data, off + nt * (8 + 16 * math.prod(grid)), exact=True)
     times = np.frombuffer(data, dtype="<f8", count=nt, offset=off).copy()
     off += 8 * nt
     geom = TorusGeometry(d, thetas, grid)
     block = geom.npoints
     states = []
     for _ in range(nt):
-        c = np.frombuffer(data, dtype=dtype, count=block, offset=off)
-        off += dtype.itemsize * block
+        c = np.frombuffer(data, dtype="<c16", count=block, offset=off)
+        off += 16 * block
         states.append(SpectralField(geom, c.astype(np.complex128).reshape(geom.grid)))
     return Trajectory(geom, times, states, coupling)

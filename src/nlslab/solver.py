@@ -91,17 +91,18 @@ def strang_step(phi, dt, coupling=1.0):
 
 
 def _time_grid(T, dt):
-    """The uniform times 0, dt, ..., T (dt must divide T)."""
-    nsteps = int(round(T / dt))
+    """The uniform times 0, dt, ..., T: the one check of T and dt, which must
+    be positive and finite, dt dividing T."""
+    if not (0 < T < np.inf and 0 < dt < np.inf):
+        raise ValueError("T and dt must be positive and finite, not %g and %g" % (T, dt))
+    nsteps = round(T / dt)
     if abs(nsteps * dt - T) > 1e-10 * T:
         raise ValueError("dt must divide T")
     return np.linspace(0.0, nsteps * dt, nsteps + 1)
 
 
 def solve_nls(phi0, T, dt, coupling=1.0):
-    """Integrate from phi0 over [0, T] with uniform step dt (dt divides T)."""
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    """Integrate from phi0 over [0, T] with uniform step dt (_time_grid)."""
     times = _time_grid(T, dt)
     h1_0 = sobolev_norm(phi0, 1.0)
     states = [phi0.copy()]

@@ -432,8 +432,8 @@ def test_bench_trilinear_validation():
         bench_trilinear(2, 0.25, 0.2, [2], 1, 0)  # zeta <= zeta0
     with pytest.raises(ValueError):
         bench_trilinear(4, 0.25, 1.1, [2], 1, 0)  # d must be 2 or 3
-    for T in (0.0, -1.0):  # an empty or reversed time interval
-        with pytest.raises(ValueError, match="need T > 0"):
+    for T in (0.0, -1.0, math.inf, math.nan):  # empty, reversed or unbounded
+        with pytest.raises(ValueError, match="need T > 0 and finite"):
             bench_trilinear(2, 0.25, 0.3, [2], 1, 0, T=T)
 
 

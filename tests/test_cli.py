@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlslab
+from nlslab import solver as solver_module
 from nlslab.bench import ExperimentReport, fit_exponent, fit_loglog
 from nlslab.cli import build_parser, main
 from nlslab.report import (
@@ -180,25 +181,16 @@ def test_trajectory_write_replaces_the_file_whole(tmp_path, monkeypatch):
     assert np.array_equal(read_trajectory(path).times, new.times)
 
 
-def test_trajectory_reads_version_1_files(tmp_path):
-    # format version 1 stores the coefficient blocks as complex64
-    rng = np.random.default_rng(5)
-    blocks = (rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))).astype("<c8")
-    times = np.array([0.0, 0.1, 0.2])
+def test_trajectory_rejects_version_1_files(tmp_path):
+    # format version 1 stored the coefficient blocks as complex64, which lost
+    # the precision of the halving checks; nothing writes it any more
+    blocks = np.zeros((3, 4, 6), dtype="<c8")
     data = (b"NLSLTRJ1" + struct.pack("<II", 1, 2) + struct.pack("<2d", 1.0, 2.0)
             + struct.pack("<2I", 4, 6) + struct.pack("<dQ", -1.0, 3)
-            + times.astype("<f8").tobytes() + blocks.tobytes())
+            + np.array([0.0, 0.1, 0.2]).astype("<f8").tobytes() + blocks.tobytes())
     path = tmp_path / "v1.bin"
     path.write_bytes(data)
-    back = read_trajectory(path)
-    assert back.geometry == TorusGeometry(2, (1.0, 2.0), (4, 6))
-    assert back.coupling == -1.0
-    assert np.array_equal(back.times, times)
-    for st, block in zip(back.states, blocks):
-        assert st.coeffs.dtype == np.complex128
-        assert np.array_equal(st.coeffs, block.astype(np.complex128))
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="implies %d bytes, found %d" % (len(data), len(data) - 8)):
+    with pytest.raises(ValueError, match="^unsupported trajectory format version 1$"):
         read_trajectory(path)
 
 
@@ -574,9 +566,9 @@ OTHER_SMOKE = [
     ("verify gauge --T 0.1", [r"renormalized nonlinearity on e\^\{ix\}: defect " + _NUM,
                               r"gauge: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify expansion --T 0.1 --dt 0.02",
-     [r"expansion r=2: %s -> %s  \(ratio \d\.\d{3}\)" % (_NUM, _NUM)]),
+     [r"expansion r=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("verify expansion --k 3 --T 0.1 --dt 0.02",
-     [r"expansion r=2: %s -> %s  \(ratio \d\.\d{3}\)" % (_NUM, _NUM)]),
+     [r"expansion r=2: %s -> %s  ratio \d\.\d{4}  \[ok\]" % (_NUM, _NUM)]),
     ("combinatorics enumerate --k 2 --r 2",
      [re.escape("2 2 : %d %d" % (a, b)) for a in (1, 2) for b in (1, 2, 3)]),
     ("combinatorics count --k 3 --r 4", ["360"]),
@@ -634,8 +626,18 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     # checked before any defect is printed
     ("verify lemma25 --m 7", "usage error: --m must be <= 6, not 7"),
     ("params table --d 3..2 --out r.csv", "usage error: --d range 3..2 is empty"),
-    ("bench trilinear --T 0 --out r.csv", "error: need T > 0, not 0"),
-    ("bench trilinear --T -1 --out r.csv", "error: need T > 0, not -1"),
+    ("bench trilinear --T 0 --out r.csv", "error: need T > 0 and finite, not 0"),
+    ("bench trilinear --T -1 --out r.csv", "error: need T > 0 and finite, not -1"),
+    ("bench trilinear --T inf --out r.csv", "error: need T > 0 and finite, not inf"),
+    # a ratio or a refined value that is not a number is an error, not a row
+    ("bench bernstein --p nan --out r.csv",
+     "error: bernstein ratio is nan at N=4, label random"),
+    ("bench cubic-product --alpha nan --out r.csv",
+     "error: cubic-product ratio is nan at N=2, label max"),
+    ("bench sobolev-embedding --s nan --out r.csv",
+     "error: sobolev-embedding ratio is nan at N=2, label a"),
+    ("bench xsb-homogeneous --b nan --out r.csv",
+     "error: xsb-homogeneous norm at T=1 not resolved in time: nan vs nan on refinement"),
     # library errors: a run needs more terms than the rank budget (the dt
     # run, then the dt/2 run, both before either is solved), and the time
     # grid cannot resolve the forcing at T = 1
@@ -652,7 +654,8 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
      "0.000720438 vs 0.293894 on refinement"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
         "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d",
-        "trilinear-T-zero", "trilinear-T-negative", "hierarchy-rank-budget",
+        "trilinear-T-zero", "trilinear-T-negative", "trilinear-T-inf", "bernstein-p-nan",
+        "cubic-product-alpha-nan", "sobolev-embedding-s-nan", "xsb-b-nan", "hierarchy-rank-budget",
         "hierarchy-rank-budget-dt2", "expansion-rank-budget-dt2",
         "expansion-rank-budget-k2-dt2", "xsb-refinement"])
 def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err):
@@ -665,6 +668,23 @@ def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err)
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr() == ("", err + "\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    "verify %s %s" % (cmd, opt) for cmd in ("duhamel", "hierarchy", "gauge", "expansion")
+    for opt in ("--dt 0", "--dt -1", "--T inf", "--T nan")
+    + (("--k 0",) if cmd in ("hierarchy", "expansion") else ())])
+def test_cli_verify_rejects_bad_steps_before_any_solve(monkeypatch, capsys, args):
+    # T, dt and k are checked before the first trajectory is solved, and a
+    # bad one is one `error:` line, not a traceback
+    def solve_nls(*_):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(solver_module, "solve_nls", solve_nls)
+    assert main(args.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", err), err
 
 
 def test_cli_missing_required_option_is_a_usage_error(capsys):

@@ -215,6 +215,16 @@ def test_dt_must_divide_T():
         solve_nls(random_shell_field(GEOM1, 2, 7), -0.1, 0.01)
 
 
+@pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (math.inf, 0.01), (math.nan, 0.01),
+                                   (0.1, math.inf), (0.1, math.nan)])
+def test_time_grid_needs_positive_finite_T_and_dt(T, dt):
+    # the solver and the exact plane wave share the one check of T and dt
+    with pytest.raises(ValueError, match="T and dt must be positive and finite"):
+        solve_nls(random_shell_field(GEOM1, 2, 7), T, dt)
+    with pytest.raises(ValueError, match="T and dt must be positive and finite"):
+        plane_wave_trajectory(GEOM1, (1,), T, dt)
+
+
 def test_blow_up_guard_trips(monkeypatch):
     phi0 = random_shell_field(GEOM1, 2, 8)
     # absurd guard factor below 1 must trip immediately
