@@ -19,7 +19,7 @@ import numpy as np
 
 from .torus import (
     TorusGeometry,
-    _block_exponents,
+    _block_bins,
     _bracket,
     _freq_sq,
     besov_norm,
@@ -383,7 +383,7 @@ def _trilinear_samples(phis, eta, T, nt):
     comes from _free_samples once per time, times e^{i xi(M/2) . x}; the
     product carries e^{i xi(3M/2) . x}, which on the 3M grid makes its
     forward FFT, taken in place, the fftshifted coefficients.  One bincount
-    of |c|^2 over the shifted block labels gives the Besov block sums.
+    of |c|^2 over the shifted bins of _block_bins gives the block sums.
 
     When every distinct factor is real-valued (_is_real), u_j(-t) =
     conj(u_j(t)), so the product at -t is the conjugate of the product at t
@@ -395,9 +395,8 @@ def _trilinear_samples(phis, eta, T, nt):
     target = geom.padded(3)
     distinct = list({id(f): f for f in phis}.values())
     slots = [[g is f for g in distinct].index(True) for f in phis]
-    labels = np.fft.fftshift(_block_exponents(target)).ravel() + 1  # zero mode -> 0
-    nblocks = int(labels.max()) + 1
-    Ns = np.array([0.0] + [2.0 ** j for j in range(nblocks - 1)])
+    bins, Ns = _block_bins(target)
+    bins = np.fft.fftshift(bins).ravel()
     # block norm = sqrt(volume * sum |c|^2), c = fftn(product) / npoints
     weight = _bracket(Ns) ** -eta * (math.sqrt(target.volume) / target.npoints)
     prod = np.empty(target.grid, dtype=np.complex128)
@@ -414,7 +413,7 @@ def _trilinear_samples(phis, eta, T, nt):
         np.square(c.real, out=mag2)
         np.square(c.imag, out=imag2)
         mag2 += imag2
-        vals[i] = float(weight @ np.sqrt(np.bincount(labels, weights=mag2, minlength=nblocks)))
+        vals[i] = float(weight @ np.sqrt(np.bincount(bins, weights=mag2)))
     vals[half:] = vals[:nt - half][::-1]
     return vals
 
@@ -445,9 +444,11 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
     is built once per block and passed as all three factors, so it is
     transformed once per time sample, not three times.  It is real-valued,
     so its norm is even in t and only the first half of its time grid is
-    evaluated (_trilinear_samples).
+    evaluated (_trilinear_samples).  zeta = None is zeta0 + 0.05.
     """
     pars = admissible_parameters(d)
+    if zeta is None:
+        zeta = float(pars.zeta0) + 0.05
     if not 0 <= eta <= float(pars.zeta0):
         raise ValueError("need 0 <= eta <= zeta0 = %s" % (pars.zeta0,))
     if zeta <= float(pars.zeta0):
@@ -474,8 +475,11 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
 # static products
 
 def bench_cubic_product(d, alpha, N_list, trials, seed):
-    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep; the product is exact (pad 3)."""
+    """||f1 f2 f3||_{B^{-zeta0}} / prod ||f_i||_{H^alpha} sweep; the product is exact
+    (pad 3).  alpha = None is alpha0 + 0.1."""
     pars = admissible_parameters(d)
+    if alpha is None:
+        alpha = float(pars.alpha0) + 0.1
     if alpha <= float(pars.alpha0):
         raise ValueError("alpha must exceed alpha0 = %s for d = %d" % (pars.alpha0, d))
     zeta0 = float(pars.zeta0)

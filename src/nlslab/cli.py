@@ -106,21 +106,6 @@ def _blocks(args):
     return out
 
 
-def _trilinear(args):
-    zeta = args.zeta
-    if zeta is None:
-        zeta = float(_bench.admissible_parameters(args.d).zeta0) + 0.05
-    return _bench.bench_trilinear(args.d, args.eta, zeta, _blocks(args),
-                                  args.trials, args.seed, T=args.T)
-
-
-def _cubic_product(args):
-    alpha = args.alpha
-    if alpha is None:
-        alpha = float(_bench.admissible_parameters(args.d).alpha0) + 0.1
-    return _bench.bench_cubic_product(args.d, alpha, _blocks(args), args.trials, args.seed)
-
-
 def _halved_times(args):
     if args.levels < 1:
         raise UsageError("--levels must be >= 1, not %d" % args.levels)
@@ -312,12 +297,13 @@ COMMANDS = (
             (Opt("--eta", float, 0.25, "smoothing exponent"),
              Opt("--zeta", float, None, "dual exponent; zeta0 + 0.05 when unset"),
              Opt("--T", float, 1.0, "length of the time interval")) + _sweep(2, 2, 32, 6),
-            _trilinear),
+            lambda a: _bench.bench_trilinear(a.d, a.eta, a.zeta, _blocks(a), a.trials, a.seed,
+                                             T=a.T)),
     Command("bench cubic-product", "triple product in the dual Besov norm",
             "bench.bench_cubic_product",
             (Opt("--alpha", float, None, "Sobolev exponent; alpha0 + 0.1 when unset"),)
             + _sweep(2, 2, 16, 6),
-            _cubic_product),
+            lambda a: _bench.bench_cubic_product(a.d, a.alpha, _blocks(a), a.trials, a.seed)),
     Command("bench sobolev-product", "bilinear/trilinear Sobolev products",
             "bench.bench_sobolev_product",
             (Opt("--rho1", float, 0.6, "exponent of the first factor"),
@@ -438,8 +424,8 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 1
 
 

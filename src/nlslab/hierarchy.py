@@ -408,10 +408,11 @@ def hierarchy_duhamel_residual(traj, k):
     under S^{(k,-zeta)}, zeta = default_zeta(d), at four evenly spaced stored
     times including the final one, whose rank is checked first.  The integral
     uses the full stored grid; its integrand and the basis of the trace norms
-    are shared by the checkpoints (_defect_norms)."""
+    are shared by the checkpoints (_defect_norms), which enter the basis in
+    ascending order."""
     M = len(traj.times) - 1
     check_defect_budget(k, M)
     if M < 2:
         raise ValueError("need at least 3 time points")
-    return max(_defect_norms(traj, k, {int(round(i * M / 4)) for i in range(1, 5)},
+    return max(_defect_norms(traj, k, sorted({int(round(i * M / 4)) for i in range(1, 5)}),
                              _pulled_back_collisions(traj, k, M)))

@@ -92,8 +92,9 @@ def strang_step(phi, dt, coupling=1.0):
 
 def _time_grid(T, dt):
     """The uniform times 0, dt, ..., T: the one check of T and dt, which must
-    be positive and finite, dt dividing T."""
-    if not (0 < T < np.inf and 0 < dt < np.inf):
+    be positive and finite, dt dividing T, and so must T/dt (a subnormal dt
+    overflows it)."""
+    if not (0 < T < np.inf and 0 < dt < np.inf and T / dt < np.inf):
         raise ValueError("T and dt must be positive and finite, not %g and %g" % (T, dt))
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > 1e-10 * T:

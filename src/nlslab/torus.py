@@ -112,17 +112,10 @@ class SpectralField:
         self._check(other)
         return SpectralField(self.geometry, self.coeffs + other.coeffs)
 
-    def __sub__(self, other):
-        self._check(other)
-        return SpectralField(self.geometry, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar):
         return SpectralField(self.geometry, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.geometry, -self.coeffs)
 
 
 def is_dyadic(N):
@@ -177,14 +170,15 @@ def shell_indices(geom):
 
 
 @functools.lru_cache(maxsize=256)
-def _block_exponents(geom):
-    """Per-mode dyadic block label: -1 for the zero mode, else j with
-    shell index in [2^j, 2^{j+1})."""
-    sh = shell_indices(geom)
-    lab = np.full(geom.grid, -1, dtype=np.int64)
-    pos = sh > 0
-    lab[pos] = np.floor(np.log2(sh[pos])).astype(np.int64)
-    return _frozen(lab)
+def _block_bins(geom):
+    """The dyadic bin of every mode and the block N of every bin: bin 0 is
+    the zero mode (N = 0), bin j + 1 the shell indices in [2^j, 2^{j+1})
+    (N = 2^j).  The bin is the binary exponent of the shell index (frexp,
+    whose exponent of 0 is 0), in intp, the index type that np.bincount
+    reads without a cast.  Bins run up to the grid's last block; on a
+    stretched lattice some of them are empty."""
+    bins = np.frexp(shell_indices(geom))[1].astype(np.intp)
+    return _frozen(bins), (0,) + tuple(2 ** j for j in range(int(bins.max())))
 
 
 @functools.lru_cache(maxsize=8)
@@ -203,21 +197,18 @@ def _phase(geom, t):
 
 def dyadic_blocks(geom):
     """All dyadic indices N (0, 1, 2, 4, ...) with modes on the grid."""
-    lab = _block_exponents(geom)
-    out = []
-    if (lab == -1).any():
-        out.append(0)
-    for j in range(int(lab.max()) + 1):
-        if (lab == j).any():
-            out.append(2 ** j)
-    return out
+    bins, Ns = _block_bins(geom)
+    return [N for N, count in zip(Ns, np.bincount(bins.ravel())) if count]
 
 
-def _block_mask(geom, N):
-    lab = _block_exponents(geom)
-    if N == 0:
-        return lab == -1
-    return lab == int(round(math.log2(N)))
+def _block_support(geom, N):
+    """The mask of the modes of block N, which must be dyadic and hold modes."""
+    _require_dyadic(N)
+    bins, Ns = _block_bins(geom)
+    mask = N in Ns and bins == Ns.index(N)
+    if not np.any(mask):
+        raise ValueError("block N=%r has no modes on this grid" % (N,))
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +318,18 @@ def _bracket(x):
 
 def besov_norm(f, s):
     """B^s_{2,1} norm: sum_N <N>^s ||P_N f||_{L^2}."""
-    lab = _block_exponents(f.geometry)
-    nexp = int(lab.max()) + 1
-    sums = np.zeros(nexp + 1)
-    # zero mode -> bin 0
-    np.add.at(sums, lab.ravel() + 1, (np.abs(f.coeffs) ** 2 * f.geometry.volume).ravel())
-    Ns = np.array([0] + [2 ** j for j in range(nexp)], dtype=np.int64)
+    bins, Ns = _block_bins(f.geometry)
+    sums = np.bincount(bins.ravel(), weights=(np.abs(f.coeffs) ** 2 * f.geometry.volume).ravel())
     return float(np.sum(_bracket(Ns) ** s * np.sqrt(sums)))
 
 # ---------------------------------------------------------------------------
 # projections
 
 def dyadic_project(f, N):
+    """P_N f: f on the modes of block N, 0 elsewhere (0 if N has none)."""
     _require_dyadic(N)
-    mask = _block_mask(f.geometry, N)
-    return SpectralField(f.geometry, np.where(mask, f.coeffs, 0.0))
+    bins, Ns = _block_bins(f.geometry)
+    return SpectralField(f.geometry, np.where(N in Ns and bins == Ns.index(N), f.coeffs, 0.0))
 
 
 def mollifier_ramp(x):
@@ -469,10 +457,7 @@ def random_shell_field(geom, N, seed):
 
     Accepts a seed or an existing numpy Generator; deterministic per seed.
     """
-    _require_dyadic(N)
-    mask = _block_mask(geom, N)
-    if not mask.any():
-        raise ValueError("block N=%r has no modes on this grid" % (N,))
+    mask = _block_support(geom, N)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     c = rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
     c = np.where(mask, c, 0.0)
@@ -484,10 +469,7 @@ def shell_extremizer_field(geom, N, kind="ones"):
     """Structured data on block N: 'ones' (all-ones coefficients), 'single'
     (one mode near the middle of the block), or 'bell' (Gaussian profile in
     |xi| across the block).  L^2-normalized."""
-    _require_dyadic(N)
-    mask = _block_mask(geom, N)
-    if not mask.any():
-        raise ValueError("block N=%r has no modes on this grid" % (N,))
+    mask = _block_support(geom, N)
     absxi = _freq_abs(geom)
     if kind == "ones":
         c = mask.astype(np.complex128)

@@ -166,11 +166,13 @@ def _regions(monkeypatch):
 
 def test_spacetime_lp_mean_matches_direct_evolution(monkeypatch):
     # d=1 fits in one chunk; the non-square d=2 case (nt=70, chunk=32) takes
-    # two phase advances between chunks and ends on a partial chunk
+    # two phase advances between chunks and ends on a partial chunk; p = 5,
+    # whose p/2 is not an integer, takes np.power instead of products
     skew = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     cases = [
         (random_shell_field(TorusGeometry(1, (1.0,), (8,)), 2, 0), 4.0, 4),
         (random_shell_field(skew, 2, 0), 6.0, 70),
+        (random_shell_field(skew, 2, 0), 5.0, 70),
     ]
     # even data, sampled on the quadrant of the padded grid
     even = [shell_extremizer_field(skew, 2, "ones"), shell_extremizer_field(skew, 2, "bell")]
@@ -178,7 +180,8 @@ def test_spacetime_lp_mean_matches_direct_evolution(monkeypatch):
                     (TorusGeometry(3, (1.0, 1.3, 0.9), (8, 8, 8)), 2)):
         f = random_shell_field(geom, N, 1)
         even.append(SpectralField(geom, _mirrored(f.coeffs)))
-    cases += [(f, 6.0, 70) for f in even]
+    even = [(f, p, 70) for p in (6.0, 5.0) for f in even]
+    cases += even
     regions = _regions(monkeypatch)
     got = []
     for f, p, nt in cases:
@@ -186,11 +189,11 @@ def test_spacetime_lp_mean_matches_direct_evolution(monkeypatch):
         want = _direct_spacetime_lp_mean(f, p, nt)
         # the batched path runs in single precision
         assert abs(got[-1] - want) < 1e-5 * want
-    assert regions == [None] * 2 + [tuple(M + 1 for M in f.geometry.grid) for f in even]
+    assert regions == [None] * 3 + [tuple(M + 1 for M in f.geometry.grid) for f, _, _ in even]
     # the quadrant sums the full grid's float32 samples, each mirror pair once
     monkeypatch.setattr(bench_module, "_is_even", lambda c: False)
-    for f, quadrant in zip(even, got[2:], strict=True):
-        full = _spacetime_lp_mean(f, 6.0, 70)
+    for (f, p, nt), quadrant in zip(even, got[3:], strict=True):
+        full = _spacetime_lp_mean(f, p, nt)
         assert regions[-1] is None
         assert abs(quadrant - full) < 1e-7 * full
 

@@ -672,7 +672,7 @@ def test_cli_rejects_bad_sweep_options(tmp_path, monkeypatch, capsys, args, err)
 
 @pytest.mark.parametrize("args", [
     "verify %s %s" % (cmd, opt) for cmd in ("duhamel", "hierarchy", "gauge", "expansion")
-    for opt in ("--dt 0", "--dt -1", "--T inf", "--T nan")
+    for opt in ("--dt 0", "--dt -1", "--dt 5e-324", "--T inf", "--T nan")
     + (("--k 0",) if cmd in ("hierarchy", "expansion") else ())])
 def test_cli_verify_rejects_bad_steps_before_any_solve(monkeypatch, capsys, args):
     # T, dt and k are checked before the first trajectory is solved, and a
@@ -685,6 +685,20 @@ def test_cli_verify_rejects_bad_steps_before_any_solve(monkeypatch, capsys, args
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"error: [^\n]+\n", err), err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.45 EiB"), "error: Unable to allocate 7.45 EiB\n"),
+    (MemoryError(), "error: MemoryError\n")], ids=["message", "bare"])
+def test_cli_reports_memory_error_as_one_line(monkeypatch, capsys, exc, line):
+    # a tiny but normal dt asks _time_grid for ~T/dt stored times; the
+    # allocation that fails is stood in for, never made
+    def time_grid(*_):
+        raise exc
+
+    monkeypatch.setattr(solver_module, "_time_grid", time_grid)
+    assert main(["verify", "duhamel", "--dt", "1e-300"]) == 1
+    assert capsys.readouterr() == ("", line)
 
 
 def test_cli_missing_required_option_is_a_usage_error(capsys):

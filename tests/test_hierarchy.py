@@ -594,8 +594,9 @@ def test_default_zeta_values():
 
 
 def test_stable_path_beats_gram_on_cancellation():
-    # gamma - gamma has trace norm 0; the QR path sees the cancellation at
-    # eps level, the Gram path only at sqrt(eps) level
+    # gamma - gamma has trace norm 0; the QR reduction sees the cancellation
+    # at eps level, where the eigenvalues of a Gram matrix of the terms would
+    # see it only at sqrt(eps) level
     phi = _rand(GEOM, 11)
     gamma = tensor_power(phi, 2)
     doubled = FactorizedDensityMatrix(

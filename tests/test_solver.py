@@ -216,7 +216,7 @@ def test_dt_must_divide_T():
 
 
 @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (math.inf, 0.01), (math.nan, 0.01),
-                                   (0.1, math.inf), (0.1, math.nan)])
+                                   (0.1, math.inf), (0.1, math.nan), (0.1, 5e-324)])
 def test_time_grid_needs_positive_finite_T_and_dt(T, dt):
     # the solver and the exact plane wave share the one check of T and dt
     with pytest.raises(ValueError, match="T and dt must be positive and finite"):

@@ -15,6 +15,7 @@ from nlslab.torus import (
     GeometryMismatchError,
     SpectralField,
     TorusGeometry,
+    besov_norm,
     conjugate,
     cubic_field,
     dyadic_blocks,
@@ -455,13 +456,15 @@ def test_cached_lattice_arrays_are_read_only():
     f = _random_field(geom, 46)
     before = smooth_dyadic_project(f, 2).coeffs
     cached = [torus_module._freq_sq(geom), torus_module._freq_abs(geom), shell_indices(geom),
-              torus_module._block_exponents(geom), torus_module._sobolev_weight(geom, 0.5),
+              torus_module._block_bins(geom)[0], torus_module._sobolev_weight(geom, 0.5),
               torus_module._phase(geom, 0.1)]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     after = smooth_dyadic_project(f, 2).coeffs
     assert np.abs(after).sum() > 0 and np.array_equal(after, before)
+    # the block N of each bin is a tuple, which has no writes
+    assert torus_module._block_bins(geom)[1] == (0, 1, 2, 4)
 
 
 def test_random_shell_field_support_and_norm():
@@ -474,6 +477,16 @@ def test_random_shell_field_support_and_norm():
     same = random_shell_field(geom, 2, 14)
     again = random_shell_field(geom, 2, 14)
     assert np.array_equal(same.coeffs, again.coeffs)
+    # an empty block, inside the grid's bins or past them, projects to 0
+    # and has no data
+    for N in (1, 64):
+        assert not dyadic_project(same, N).coeffs.any()
+        with pytest.raises(ValueError, match="block N=%d has no modes" % N):
+            random_shell_field(geom, N, 14)
+        with pytest.raises(ValueError, match="block N=%d has no modes" % N):
+            shell_extremizer_field(geom, N)
+    with pytest.raises(ValueError, match="power of two"):
+        random_shell_field(geom, 3, 14)
 
 
 def test_extremizers_live_on_block():
@@ -482,6 +495,22 @@ def test_extremizers_live_on_block():
         f = shell_extremizer_field(geom, 4, kind)
         assert abs(l2_norm(f) - 1.0) < 1e-12
         assert np.abs(dyadic_project(f, 4).coeffs - f.coeffs).max() < 1e-14
+
+
+@pytest.mark.parametrize("geom", GEOMS + [
+    TorusGeometry(1, (0.3,), (16,)),
+    TorusGeometry(2, (1.0, 1.0), (16, 16)),
+    TorusGeometry(2, (2.5, 3.0), (8, 12)),
+    TorusGeometry(3, (1.0, 1.0, 1.0), (8, 8, 8)),
+], ids=["d1", "d2-rect", "d3-rect", "d1-long", "d2-square", "d2-empty-blocks", "d3-cube"])
+def test_besov_norm_sums_the_dyadic_projections(geom):
+    # B^s_{2,1} = sum_N <N>^s ||P_N f||_2 over the grid's blocks; on sides
+    # 2.5 and 3.0 the block N = 1 holds no modes
+    f = _random_field(geom, 47)
+    for s in (-0.7, 0.0, 0.4, 1.5):
+        want = sum(math.sqrt(1.0 + N ** 2) ** s * l2_norm(dyadic_project(f, N))
+                   for N in dyadic_blocks(geom))
+        assert abs(besov_norm(f, s) - want) < 1e-13 * want
 
 
 def test_is_dyadic():
