@@ -48,6 +48,7 @@ __all__ = [
 
 STRICHARTZ_RANDOM_NT = 32  # time samples of the random rows of bench_strichartz
 TRILINEAR_NT = 17  # and of bench_trilinear
+STRICHARTZ_CHUNK = 32  # times per block of _spacetime_lp_mean and of its power buffers
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,16 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
     region, when given, keeps the points 0 <= k_j < region[j] of the padded
     grid P (default: all of P).  A block has shape (n * len(fields),) +
     region, time-major: row j * len(fields) + i is field i at the block's
-    j-th time.  It is a view of one reused buffer, valid until the next
-    block.  The phases are a table for one chunk, built by recurrence, and
-    each chunk advances the coefficients by exp(-i chunk dt lambda).  The
-    modes are stored fftshifted and scaled by the padded grid size, so the
-    samples come out as u e^{i xi(M/2) . x} with the padding at the end of
-    each axis.  The inverse FFT runs one axis at a time: it skips the rows
-    that are still all zero, and along the axes already transformed it
-    takes only the lines inside the region.
+    j-th time.  It is a view of the last axis's transform buffer, valid
+    until the next block: that transform runs in place, so the kernel holds
+    its per-axis transform buffers and no sample buffer.  A slice's phases
+    come by recurrence, one M-sized phase at a time, from exp(-i t0 lambda)
+    times exp(-i dt lambda) per step; each chunk advances the coefficients
+    by exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled
+    by the padded grid size, so the samples come out as u e^{i xi(M/2) . x}
+    with the padding at the end of each axis.  The inverse FFT runs one
+    axis at a time: it skips the rows that are still all zero, and along
+    the axes already transformed it takes only the lines inside the region.
 
     A block runs as contiguous time slices, one per CPU this process may run
     on: the caller runs the first, a thread each of the others (numpy's FFTs
@@ -197,32 +200,37 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
     d, k, c = geom.d, len(fields), min(chunk, nt)
     lam = np.fft.fftshift(_freq_sq(geom))
     coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in fields]) * math.prod(P)
-    table = np.empty((c, 1) + M, dtype=np.complex128)
-    table[0] = np.exp(-1j * t0 * lam)
+    start = np.exp(-1j * t0 * lam)
     step = np.exp(-1j * dt * lam)
-    for j in range(1, c):
-        np.multiply(table[j - 1], step, out=table[j])
     advance = np.exp(-1j * (c * dt) * lam)
     # bufs[a - 1] is the input of the transform along axis a: P wide along
-    # axes 1..a, M wide along the later ones.  Only its head, the first M
-    # entries along axis a, is ever written; the zero tail is the padding.
+    # axes 1..a, M wide along the later ones.  The modes and the transforms
+    # along axes 1..d-1 write only the head of the next input, its first M
+    # entries along that axis; the zero tail is the padding.  The last
+    # transform runs in place, so bufs[-1] holds the samples, and each slice
+    # zeroes the tail of the lines it transforms again before it writes.
     bufs = [np.zeros((c * k,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     modes = bufs[0].reshape((c, k) + bufs[0].shape[1:])[:, :, :M[0]]
-    samples = np.empty((c * k,) + P, dtype=dtype)
+    outs, tail = heads[1:] + bufs[-1:], bufs[-1][..., M[-1]:]
     cut = tuple(slice(0, r) for r in (P if region is None else region))
     lanes, errors = _cpus(), []
 
     def run(lo, hi):
         try:
-            np.multiply(table[lo:hi], coeffs, out=modes[lo:hi])
             rows = slice(lo * k, hi * k)
+            tail[(rows,) + cut[:d - 1]] = 0
+            phase = start.copy()
+            for _ in range(lo):
+                phase *= step
+            for out in modes[lo:hi]:
+                np.multiply(phase, coeffs, out=out)
+                phase *= step
             for a in range(1, d + 1):
                 lines = (rows,) + cut[:a - 1]
-                np.fft.ifft(bufs[a - 1][lines], axis=a,
-                            out=heads[a][lines] if a < d else samples[lines])
+                np.fft.ifft(bufs[a - 1][lines], axis=a, out=outs[a - 1][lines])
             if consume is not None:
-                consume(rows, samples[(rows,) + cut])
+                consume(rows, bufs[-1][(rows,) + cut])
         except BaseException as exc:  # raised in the caller, below
             errors.append(exc)
 
@@ -239,7 +247,7 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
         if errors:
             raise errors[0]
         coeffs *= advance
-        yield samples[(slice(0, n * k),) + cut]
+        yield bufs[-1][(slice(0, n * k),) + cut]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +303,7 @@ def _spacetime_lp_mean(f, p, nt):
         region = tuple(P // 2 + 1 for P in target.grid)
         weights = math.prod(np.ix_(*[np.where(np.arange(r) % (r - 1), 2, 1) for r in region]))
         weights = weights.astype(np.float32)
-    mag2 = np.empty((min(32, nt),) + (region or target.grid), dtype=np.float32)
+    mag2 = np.empty((min(STRICHARTZ_CHUNK, nt),) + (region or target.grid), dtype=np.float32)
     powd = np.empty_like(mag2)
     half = p / 2.0
 
@@ -314,8 +322,8 @@ def _spacetime_lp_mean(f, p, nt):
             pw *= weights
 
     acc = 0.0
-    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, 32, np.complex64, power,
-                                 region=region):
+    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, STRICHARTZ_CHUNK, np.complex64,
+                                 power, region=region):
         acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
     return acc / nt
 
