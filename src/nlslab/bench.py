@@ -48,7 +48,10 @@ __all__ = [
 
 STRICHARTZ_RANDOM_NT = 32  # time samples of the random rows of bench_strichartz
 TRILINEAR_NT = 17  # and of bench_trilinear
-STRICHARTZ_CHUNK = 32  # times per block of _spacetime_lp_mean and of its power buffers
+STRICHARTZ_CHUNK = 32  # most times per block of _spacetime_lp_mean, a power of two
+# bytes of a _spacetime_lp_mean block (transform buffers and power rows);
+# 128 MiB holds 32 times of every d=2 block up to N=64, 4 MiB a time there
+STRICHARTZ_BUDGET = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,11 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
     on: the caller runs the first, a thread each of the others (numpy's FFTs
     and ufuncs release the GIL).  Slices write disjoint rows, so the samples
     do not depend on their count.  consume(rows, u), if given, runs in each
-    slice on its rows u = block[rows].  All slices finish, and the first
-    error is raised, before a block is yielded or the coefficients advance.
+    slice on its rows u = block[rows], and may overwrite them in place: the
+    next block transforms its samples afresh from the modes.  All slices
+    finish, and the first error is raised, before a block is yielded or the
+    coefficients advance.  The buffers hold chunk times; the caller sizes
+    chunk to the memory it can spend.
     """
     geom = fields[0].geometry
     M, P = geom.grid, geom.padded(pad).grid
@@ -288,41 +294,56 @@ def _spacetime_lp_mean(f, p, nt):
     quadrant 0 <= k_j <= P_j/2 of the padded grid P is sampled: a point
     counts twice along each axis where 0 < k_j < P_j/2, standing for its
     mirror P_j - k_j, and once where k_j is 0 or P_j/2.  The weights are
-    powers of 2, exact in float32.  The |u|^p step runs in the time slices of
-    _free_samples; each block's float64 sum runs here, whole, so the value
-    does not depend on the number of slices.
+    powers of 2, exact in float32.
+
+    The |u|^p step runs in the time slices of _free_samples, in the samples'
+    own buffer: their float32 view is squared in place, and Re^2 + Im^2 goes
+    to powd, one contiguous float32 row per time, where it is raised to p/2
+    (products, with the real slots as scratch, when p/2 is an integer).
+    Each block's float64 sum of powd runs here, whole, so the value does not
+    depend on the number of slices.  A block holds the largest power of two
+    of at most STRICHARTZ_CHUNK times whose transform buffers and powd rows
+    fit STRICHARTZ_BUDGET bytes; it depends on the grid only.
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
     if np.all(live == live[:1]):
         return lp_norm(f, p) ** p
     target = geom.padded(2)
+    M, P = geom.grid, target.grid
     w = target.volume / target.npoints
     region = weights = None
     if _is_even(f.coeffs):
-        region = tuple(P // 2 + 1 for P in target.grid)
+        region = tuple(n // 2 + 1 for n in P)
         weights = math.prod(np.ix_(*[np.where(np.arange(r) % (r - 1), 2, 1) for r in region]))
         weights = weights.astype(np.float32)
-    mag2 = np.empty((min(STRICHARTZ_CHUNK, nt),) + (region or target.grid), dtype=np.float32)
-    powd = np.empty_like(mag2)
+    # complex64 transform buffers of _free_samples and a float32 powd row
+    per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in range(1, geom.d + 1))
+    per_time += 4 * math.prod(region or P)
+    chunk = STRICHARTZ_CHUNK
+    while chunk > 1 and chunk * per_time > STRICHARTZ_BUDGET:
+        chunk //= 2
+    powd = np.empty((min(chunk, nt),) + (region or P), dtype=np.float32)
     half = p / 2.0
 
     def power(rows, u):
-        m2, pw = mag2[rows], powd[rows]
-        np.square(u.real, out=m2)
-        np.square(u.imag, out=pw)
-        m2 += pw
-        if half == int(half) > 1:
-            np.multiply(m2, m2, out=pw)
-            for _ in range(int(half) - 2):
-                pw *= m2
-        else:
-            np.power(m2, half, out=pw)
+        pw, v = powd[rows], u.view(np.float32)  # v: Re u, Im u interleaved
+        np.square(v, out=v)
+        np.add(v[..., 0::2], v[..., 1::2], out=pw)
+        if half != int(half) or half < 2:
+            np.power(pw, half, out=pw)
+        elif half == 2:
+            pw *= pw
+        else:  # |u|^4 in the real slots, then times |u|^2 until |u|^p
+            m4 = np.multiply(pw, pw, out=v[..., 0::2])
+            for _ in range(int(half) - 3):
+                m4 *= pw
+            pw *= m4
         if weights is not None:
             pw *= weights
 
     acc = 0.0
-    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, STRICHARTZ_CHUNK, np.complex64,
+    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64,
                                  power, region=region):
         acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
     return acc / nt

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks with stated tolerances.
+"""Acceptance gate: thirteen end-to-end checks with stated tolerances.
 
 Each test prints exactly one line "criterion NN (<label>): PASS|FAIL ..."
 (visible with pytest -s, and in the failure report otherwise) and then
@@ -6,6 +6,9 @@ asserts the stated window.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ from nlslab.bench import (
     bench_strichartz,
     bench_trilinear,
 )
+import nlslab
 from nlslab.cli import main
 from nlslab.combinatorics import (
     collision_map_count,
@@ -239,3 +243,30 @@ def test_criterion_12_manifest_determinism(tmp_path, monkeypatch, capsys):
     with capsys.disabled():
         _report(12, "manifest rerun byte-identical", wrote and rerun and identical,
                 "stored and re-run CSV bodies compare equal", t0, 60.0)
+
+
+# the child reports its own peak resident set, in KiB on Linux
+_PEAK_CHILD = ("import resource, sys\n"
+               "from nlslab.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print('# maxrss_kib = %d' % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+               "sys.exit(code)\n")
+
+
+def test_criterion_13_strichartz_3_torus_in_bounded_memory():
+    # measured on a 2-core box: 14.2-15.9 s, 176-179 MiB and slope 0.2847
+    # (1484 MiB before blocks were sized by bytes); the target is
+    # d/2 - (d+2)/p = 0.25
+    t0 = time.time()
+    src = os.path.dirname(os.path.dirname(nlslab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = "bench strichartz --d 3 --p 4 --nmin 2 --nmax 16 --trials 4 --seed 7".split()
+    run = subprocess.run([sys.executable, "-c", _PEAK_CHILD] + argv, env=env,
+                         capture_output=True, text=True, timeout=600)
+    footer = dict(line[2:].split(" = ") for line in run.stdout.splitlines() if line.startswith("# "))
+    slope, peak = float(footer.get("slope", "nan")), int(footer.get("maxrss_kib", "0")) / 1024
+    lo, hi = 0.15, 0.35
+    ok = run.returncode == 0 and lo <= slope <= hi and peak <= 400
+    _report(13, "Strichartz slope d=3, p=4, in bounded memory", ok,
+            "exit %d; slope %.4f in [%g, %g]; child peak %.0f MiB <= 400 MiB"
+            % (run.returncode, slope, lo, hi, peak), t0, 60.0)

@@ -268,6 +268,80 @@ def test_free_samples_holds_only_its_transform_buffers(M):
     assert peak <= 1.5 * bufs, peak / bufs
 
 
+@pytest.mark.parametrize("kind, bound", [("random", 1.5), ("ones", 1.2)])
+def test_spacetime_lp_mean_forms_the_power_in_the_transform_buffer(monkeypatch, kind, bound):
+    # |u|^2 comes from the samples' own buffer into one float32 row per time:
+    # on one lane the peak is 1.40x (full grid) and 1.16x (quadrant) of the
+    # transform buffers, against 1.74x and 1.24x with a separate |u|^2 buffer
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
+    geom = TorusGeometry(2, (1.0, 1.0), (64, 64))
+    f = random_shell_field(geom, 8, 0) if kind == "random" else shell_extremizer_field(geom, 8, kind)
+    M, P, nt = geom.grid, geom.padded(2).grid, 32
+    bufs = nt * 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2))
+    tracemalloc.start()
+    try:
+        _spacetime_lp_mean(f, 6.0, nt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * bufs, peak / bufs
+
+
+def _chunks(monkeypatch, run=False):
+    """The chunks that _spacetime_lp_mean asks of _free_samples, in order;
+    unless run, the spy yields no block."""
+    chunks, real = [], bench_module._free_samples
+
+    def spy(fields, pad, t0, dt, nt, chunk, *args, **kwargs):
+        chunks.append(chunk)
+        return real(fields, pad, t0, dt, nt, chunk, *args, **kwargs) if run else iter(())
+
+    monkeypatch.setattr(bench_module, "_free_samples", spy)
+    return chunks
+
+
+def test_spacetime_lp_mean_sizes_its_chunk_by_bytes(monkeypatch):
+    chunks = _chunks(monkeypatch)
+    budget = bench_module.STRICHARTZ_BUDGET
+    # every d=2 block of the benches, on 4N points per axis, keeps 32 times
+    for N in (4, 8, 16, 32, 64):
+        geom = TorusGeometry(2, (1.0, 1.0), (4 * N,) * 2)
+        for f in (random_shell_field(geom, N, 0), shell_extremizer_field(geom, N, "ones")):
+            _spacetime_lp_mean(f, 6.0, 32)
+    assert chunks == [32] * 10
+    # d=3, N=16: 28 MiB of transform buffers a time, and a powd row of the
+    # full grid (8 MiB) or of the octant (65^3 float32)
+    geom = TorusGeometry(3, (1.0,) * 3, (64,) * 3)
+    M, P = geom.grid, geom.padded(2).grid
+    fields = [random_shell_field(geom, 16, 0), shell_extremizer_field(geom, 16, "ones")]
+    for n in (1, 5):
+        monkeypatch.setattr(bench_module, "_cpus", lambda: n)
+        chunks.clear()
+        for f in fields:
+            _spacetime_lp_mean(f, 4.0, 32)
+        assert chunks == [2, 4]
+    for chunk, row in zip(chunks, (math.prod(P), 65 ** 3)):
+        per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2, 3)) + 4 * row
+        assert chunk * per_time <= budget < 2 * chunk * per_time
+
+
+def test_spacetime_lp_mean_runs_in_a_small_budget(monkeypatch):
+    # 16^3 in 2 MiB: 576 KiB a time on the full grid and 468 KiB on the
+    # octant, so nt = 7 runs in blocks of 2 or of 4, the last one partial
+    monkeypatch.setattr(bench_module, "STRICHARTZ_BUDGET", 2 << 20)
+    chunks = _chunks(monkeypatch, run=True)
+    geom = TorusGeometry(3, (1.0,) * 3, (16,) * 3)
+    fields = [random_shell_field(geom, 4, 0), shell_extremizer_field(geom, 4, "bell")]
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
+    want = [_spacetime_lp_mean(f, 4.0, 7) for f in fields]
+    assert chunks == [2, 4]
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 5)
+    assert [_spacetime_lp_mean(f, 4.0, 7) for f in fields] == want
+    for f, got in zip(fields, want):
+        direct = _direct_spacetime_lp_mean(f, 4.0, 7)
+        assert abs(got - direct) < 1e-5 * direct
+
+
 def test_spacetime_lp_mean_single_lambda_shortcut(monkeypatch):
     geom = TorusGeometry(2, (1.0, 1.0), (8, 8))
     single = mode_field(geom, (1, 0))
