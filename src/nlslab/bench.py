@@ -173,23 +173,22 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
-    """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) for every f in
-    fields, on the grid padded by pad, in blocks of at most chunk times.
+def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
+    """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) on the grid padded
+    by pad, in blocks of at most chunk times.
 
     region, when given, keeps the points 0 <= k_j < region[j] of the padded
-    grid P (default: all of P).  A block has shape (n * len(fields),) +
-    region, time-major: row j * len(fields) + i is field i at the block's
-    j-th time.  It is a view of the last axis's transform buffer, valid
-    until the next block: that transform runs in place, so the kernel holds
-    its per-axis transform buffers and no sample buffer.  A slice's phases
-    come by recurrence, one M-sized phase at a time, from exp(-i t0 lambda)
-    times exp(-i dt lambda) per step; each chunk advances the coefficients
-    by exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled
-    by the padded grid size, so the samples come out as u e^{i xi(M/2) . x}
-    with the padding at the end of each axis.  The inverse FFT runs one
-    axis at a time: it skips the rows that are still all zero, and along
-    the axes already transformed it takes only the lines inside the region.
+    grid P (default: all of P).  A block has shape (n,) + region, one row per
+    time.  It is a view of the last axis's transform buffer, valid until the
+    next block: that transform runs in place, so the kernel holds its
+    per-axis transform buffers and no sample buffer.  A slice's phases come
+    by recurrence, one M-sized phase at a time, from exp(-i t0 lambda) times
+    exp(-i dt lambda) per step; each chunk advances the coefficients by
+    exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled by
+    the padded grid size, so the samples come out as u e^{i xi(M/2) . x}
+    with the padding at the end of each axis.  The inverse FFT runs one axis
+    at a time: it skips the rows that are still all zero, and along the axes
+    already transformed it takes only the lines inside the region.
 
     A block runs as contiguous time slices, one per CPU this process may run
     on: the caller runs the first, a thread each of the others (numpy's FFTs
@@ -201,11 +200,11 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
     coefficients advance.  The buffers hold chunk times; the caller sizes
     chunk to the memory it can spend.
     """
-    geom = fields[0].geometry
+    geom = f.geometry
     M, P = geom.grid, geom.padded(pad).grid
-    d, k, c = geom.d, len(fields), min(chunk, nt)
+    d, c = geom.d, min(chunk, nt)
     lam = np.fft.fftshift(_freq_sq(geom))
-    coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in fields]) * math.prod(P)
+    coeffs = np.fft.fftshift(f.coeffs) * math.prod(P)
     start = np.exp(-1j * t0 * lam)
     step = np.exp(-1j * dt * lam)
     advance = np.exp(-1j * (c * dt) * lam)
@@ -215,21 +214,20 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
     # entries along that axis; the zero tail is the padding.  The last
     # transform runs in place, so bufs[-1] holds the samples, and each slice
     # zeroes the tail of the lines it transforms again before it writes.
-    bufs = [np.zeros((c * k,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
+    bufs = [np.zeros((c,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
-    modes = bufs[0].reshape((c, k) + bufs[0].shape[1:])[:, :, :M[0]]
     outs, tail = heads[1:] + bufs[-1:], bufs[-1][..., M[-1]:]
     cut = tuple(slice(0, r) for r in (P if region is None else region))
     lanes, errors = _cpus(), []
 
     def run(lo, hi):
         try:
-            rows = slice(lo * k, hi * k)
+            rows = slice(lo, hi)
             tail[(rows,) + cut[:d - 1]] = 0
             phase = start.copy()
             for _ in range(lo):
                 phase *= step
-            for out in modes[lo:hi]:
+            for out in heads[0][rows]:
                 np.multiply(phase, coeffs, out=out)
                 phase *= step
             for a in range(1, d + 1):
@@ -253,7 +251,7 @@ def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume=None, region=No
         if errors:
             raise errors[0]
         coeffs *= advance
-        yield bufs[-1][(slice(0, n * k),) + cut]
+        yield bufs[-1][(slice(0, n),) + cut]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +341,8 @@ def _spacetime_lp_mean(f, p, nt):
             pw *= weights
 
     acc = 0.0
-    for samples in _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64,
-                                 power, region=region):
+    for samples in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
+                                 region=region):
         acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
     return acc / nt
 
@@ -361,10 +359,11 @@ def bench_strichartz(d, p, N_list, trials, seed):
     The `ones` and `bell` data are even in every coordinate, so their |u|^p
     is summed over one weighted quadrant of the grid (_spacetime_lp_mean).
     """
-    if d > 3:
-        raise ValueError("full-grid evaluation supports d <= 3")
-    if p <= 2 * (d + 2) / d:
-        raise ValueError("p must exceed the critical exponent 2(d+2)/d")
+    if not 1 <= d <= 3:
+        raise ValueError("full-grid evaluation supports 1 <= d <= 3, not %d" % d)
+    if not 2 * (d + 2) / d < p < math.inf:
+        raise ValueError("need a finite p above the critical exponent 2(d+2)/d = %g, not %g"
+                         % (2 * (d + 2) / d, p))
 
     def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
@@ -409,10 +408,12 @@ def _trilinear_samples(phis, eta, T, nt):
     The pad-3 grid is exact: factor modes in [-M/2, M/2) give product
     modes in [-3M/2, 3M/2), and nothing aliases on 3M points.  Each
     distinct factor (three identical ones are the `ones` row's one object)
-    comes from _free_samples once per time, times e^{i xi(M/2) . x}; the
-    product carries e^{i xi(3M/2) . x}, which on the 3M grid makes its
-    forward FFT, taken in place, the fftshifted coefficients.  One bincount
-    of |c|^2 over the shifted bins of _block_bins gives the block sums.
+    is one _free_samples pass, the passes in lockstep, times
+    e^{i xi(M/2) . x}; the product carries e^{i xi(3M/2) . x}, which on the
+    3M grid makes its forward FFT, taken in place, the fftshifted
+    coefficients c.  The product's float64 view is squared in place, and
+    one bincount of Re^2 + Im^2 over the shifted bins of _block_bins gives
+    the block sums.
 
     When every distinct factor is real-valued (_is_real), u_j(-t) =
     conj(u_j(t)), so the product at -t is the conjugate of the product at t
@@ -429,20 +430,18 @@ def _trilinear_samples(phis, eta, T, nt):
     # block norm = sqrt(volume * sum |c|^2), c = fftn(product) / npoints
     weight = _bracket(Ns) ** -eta * (math.sqrt(target.volume) / target.npoints)
     prod = np.empty(target.grid, dtype=np.complex128)
-    c = prod.reshape(-1)
-    mag2, imag2 = np.empty(c.shape), np.empty(c.shape)
+    v = prod.reshape(-1).view(np.float64)  # Re c, Im c interleaved
     vals = np.empty(nt)
     dt = 2.0 * T / max(nt - 1, 1)  # np.linspace(-T, T, nt); nt = 1 is t = -T
     half = (nt + 1) // 2 if all(_is_real(f) for f in distinct) else nt
-    for i, u in enumerate(_free_samples(distinct, 3, -T, dt, half, 1, np.complex128)):
-        np.multiply(u[slots[0]], u[slots[1]], out=prod)
+    passes = [_free_samples(f, 3, -T, dt, half, 1, np.complex128) for f in distinct]
+    for i, us in enumerate(zip(*passes)):
+        np.multiply(us[slots[0]][0], us[slots[1]][0], out=prod)
         for j in slots[2:]:
-            prod *= u[j]
+            prod *= us[j][0]
         np.fft.fftn(prod, out=prod)
-        np.square(c.real, out=mag2)
-        np.square(c.imag, out=imag2)
-        mag2 += imag2
-        vals[i] = float(weight @ np.sqrt(np.bincount(bins, weights=mag2)))
+        np.square(v, out=v)
+        vals[i] = float(weight @ np.sqrt(np.bincount(bins, weights=v[0::2] + v[1::2])))
     vals[half:] = vals[:nt - half][::-1]
     return vals
 

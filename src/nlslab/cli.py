@@ -162,8 +162,9 @@ def _plane_wave(traj, args):
     res = _hier.hierarchy_duhamel_residual(pw, args.k)
     # the residual is rounding of a weighted trace norm, ||S^{-zeta} phi||^{2k} ~ vol^k
     mass = _torus.sobolev_norm(pw.states[0], -_hier.default_zeta(args.d)) ** (2 * args.k)
+    rel = res / mass
     return ["plane-wave residual %.3e" % res,
-            "plane-wave weighted mass %.3e  residual/mass %.3e" % (mass, res / mass)], res < 1e-9
+            "plane-wave weighted mass %.3e  residual/mass %.3e" % (mass, rel)], rel < 1e-13
 
 
 def _gauged_plane_wave(traj, args):

@@ -101,10 +101,10 @@ def xsb_norm(u, s, b, r):
     """
     rp = _conjugate_exponent(r)
     geom = u.geometry
-    n = geom.thetas[0] * np.fft.fftfreq(geom.grid[0], d=1.0 / geom.grid[0])
+    n2 = _freq_sq(geom)
     tau = u.time_frequencies()
-    wn = (1.0 + n ** 2) ** (s * rp / 2.0)
-    wtau = (1.0 + (tau[:, None] + n[None, :] ** 2) ** 2) ** (b * rp / 2.0)
+    wn = (1.0 + n2) ** (s * rp / 2.0)
+    wtau = (1.0 + (tau[:, None] + n2[None, :]) ** 2) ** (b * rp / 2.0)
     uh = np.abs(math.sqrt(geom.volume) * u.time_transform()) ** rp
     dtau = math.pi / DEFAULT_WINDOW
     return float((dtau * np.sum(wn[None, :] * wtau * uh)) ** (1.0 / rp))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import admissible_parameters
 from .torus import free_evolve, pointwise_product, product_field, _sobolev_weight
 from .solver import simpson_weights
 
@@ -342,8 +343,6 @@ def default_zeta(d):
     """Default weight exponent zeta_0(d) for the hierarchy residual."""
     if d == 1:
         return 1.0 / 3.0
-    from .bench import admissible_parameters
-
     return float(admissible_parameters(d).zeta0)
 
 

@@ -214,18 +214,6 @@ def _block_support(geom, N):
 # ---------------------------------------------------------------------------
 # transforms and basic constructors
 
-def field_from_samples(geom, samples):
-    samples = np.asarray(samples)
-    if tuple(samples.shape) != geom.grid:
-        raise GeometryMismatchError("sample shape does not match grid")
-    return SpectralField(geom, np.fft.fftn(samples) / geom.npoints)
-
-
-def field_samples(f):
-    """Physical samples on the uniform grid x_j = (index/M_j) * 2*pi/theta_j."""
-    return np.fft.ifftn(f.coeffs) * f.geometry.npoints
-
-
 def _axis_band(a, axis, size):
     """a with size entries along axis, in numpy FFT order: the first and the
     last m/2 entries, m = min(a.shape[axis], size), copied and zeros
@@ -241,28 +229,36 @@ def _axis_band(a, axis, size):
     return out
 
 
-def _padded_samples(f, big):
-    """field_samples(truncate_field(f, big)) for a grid big no smaller than
-    f's on any axis, bit for bit, without the all-zero lines.  ifftn
-    transforms the padded cube one axis at a time, last axis first; here
-    each axis is padded only when its turn comes, so the lines of the
-    axes still at f's size, all zero on the padded cube, are never formed.
-    """
+def field_samples(f, big=None):
+    """Physical samples of f on the uniform grid of big (default: f's own),
+    x_j = (index/P_j) * 2*pi/theta_j, for a grid big with f's sides and no
+    smaller than f's on any axis.  This is ifftn(truncate_field(f, big))
+    times big's point count, bit for bit: the same per-axis inverse FFTs,
+    last axis first, except that each axis is padded only when its turn
+    comes, so the lines of the axes still at f's size, all zero on the
+    padded cube, are never formed."""
+    big = f.geometry if big is None else big
     a = f.coeffs
     for ax in reversed(range(f.geometry.d)):
         a = np.fft.ifft(_axis_band(a, ax, big.grid[ax]), axis=ax)
     return a * big.npoints
 
 
-def _band_from_samples(big, samples, band):
-    """truncate_field(field_from_samples(big, samples), band), bit for bit:
-    fftn's per-axis transforms, last axis first, each followed by the cut
-    to band's modes along its axis, so later axes transform only the lines
-    that reach band."""
+def field_from_samples(geom, samples, band=None):
+    """The field on geom with these physical samples, cut to the modes of
+    band (a geometry with geom's sides; default geom itself).  This is
+    truncate_field of fftn(samples) / npoints, bit for bit: fftn's per-axis
+    transforms, last axis first, each followed by the cut to band's modes
+    along its axis, so later axes transform only the lines that reach
+    band."""
+    samples = np.asarray(samples)
+    if tuple(samples.shape) != geom.grid:
+        raise GeometryMismatchError("sample shape does not match grid")
+    band = geom if band is None else band
     a = samples
-    for ax in reversed(range(big.d)):
+    for ax in reversed(range(geom.d)):
         a = _axis_band(np.fft.fft(a, axis=ax), ax, band.grid[ax])
-    return SpectralField(band, a / big.npoints)
+    return SpectralField(band, a / geom.npoints)
 
 
 def zero_field(geom):
@@ -298,7 +294,7 @@ def lp_norm(f, p):
     if p != np.inf and p < 1:
         raise ValueError("p must be >= 1")
     big = f.geometry.padded(2)
-    s = np.abs(_padded_samples(f, big))
+    s = np.abs(field_samples(f, big))
     if p == np.inf:
         return float(s.max())
     w = big.volume / big.npoints
@@ -415,8 +411,7 @@ def product_field(*factors, conj=None, band=None):
     so each distinct factor object takes one padded inverse FFT.  It moves a
     Nyquist mode -M/2 to +M/2, so a product of m conjugated factors reaches
     mM/2, which may alias onto band.  Both transforms are pruned
-    (_padded_samples, _band_from_samples) and equal, bit for bit, the full
-    ifftn and fftn of the padded grid.
+    (field_samples, field_from_samples).
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -433,10 +428,10 @@ def product_field(*factors, conj=None, band=None):
     prod = None
     for f, cj in zip(factors, conj or (False,) * m):
         if id(f) not in samples:
-            samples[id(f)] = _padded_samples(f, big)
+            samples[id(f)] = field_samples(f, big)
         s = np.conj(samples[id(f)]) if cj else samples[id(f)]
         prod = s if prod is None else prod * s
-    return _band_from_samples(big, prod, band)
+    return field_from_samples(big, prod, band)
 
 
 def pointwise_product(f, g):

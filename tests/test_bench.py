@@ -39,7 +39,6 @@ from nlslab.torus import (
     product_field,
     random_shell_field,
     shell_extremizer_field,
-    truncate_field,
 )
 
 
@@ -97,55 +96,54 @@ def _mirrored(c):
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(1, 3), thetas=st.tuples(*[st.floats(0.5, 1.5)] * 3),
        grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
-       nfields=st.integers(1, 3), t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
+       t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
        nt=st.integers(1, 9), chunk=st.integers(1, 4), single=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5), even=st.booleans())
 # a chunked advance from a negative start that ends on a partial chunk, and
 # nt below and equal to the chunk; more lanes than times in a block; even
 # fields on the quadrant in d = 1, 2, 3, on rectangular tori
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, True, 0, 2, False)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, -0.9, 0.1, 2, 4, False, 1, 5, False)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 3, -0.3, 0.25, 4, 4, True, 2, 3, False)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, 2, -0.3, 0.25, 5, 2, True, 3, 3, True)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 1, 0.1, 0.1, 6, 4, True, 4, 5, True)
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, 2, -0.6, 0.2, 7, 3, False, 5, 2, True)
-def test_free_samples_match_free_evolve(d, thetas, grid, pad, nfields, t0, dt, nt, chunk,
-                                        single, seed, lanes, even):
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, True, 0, 2, False)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, -0.9, 0.1, 2, 4, False, 1, 5, False)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 4, 4, True, 2, 3, False)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 5, 2, True, 3, 3, True)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 0.1, 0.1, 6, 4, True, 4, 5, True)
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, False, 5, 2, True)
+def test_free_samples_match_free_evolve(d, thetas, grid, pad, t0, dt, nt, chunk, single, seed,
+                                        lanes, even):
     geom = TorusGeometry(d, thetas[:d], grid[:d])
     target = geom.padded(pad)
     rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
-              for _ in range(nfields)]
-    fields = [SpectralField(geom, _mirrored(c) if even else c) for c in fields]
+    c = rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
+    f = SpectralField(geom, _mirrored(c) if even else c)
     region = tuple(P // 2 + 1 for P in target.grid) if even else None
     dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
     blocks = {}
     for n in (1, lanes):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench_module, "_cpus", lambda: n)
-            blocks[n] = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype,
+            blocks[n] = [b.copy() for b in _free_samples(f, pad, t0, dt, nt, chunk, dtype,
                                                          region=region)]
     # the slices write disjoint rows: any lane count gives the same bits
     assert all(np.array_equal(a, b) for a, b in zip(blocks[1], blocks[lanes], strict=True))
     if even:
         # the quadrant is the full grid's samples there, bit for bit
-        full = [b.copy() for b in _free_samples(fields, pad, t0, dt, nt, chunk, dtype)]
+        full = [b.copy() for b in _free_samples(f, pad, t0, dt, nt, chunk, dtype)]
         quadrant = (slice(None),) + tuple(slice(0, r) for r in region)
         assert all(np.array_equal(q, b[quadrant])
                    for q, b in zip(blocks[lanes], full, strict=True))
         blocks[1] = full
     blocks = blocks[1]
-    assert [len(b) for b in blocks] == [nfields * min(chunk, nt - lo) for lo in range(0, nt, chunk)]
+    assert [len(b) for b in blocks] == [min(chunk, nt - lo) for lo in range(0, nt, chunk)]
     assert all(b.dtype == dtype for b in blocks)
-    got = np.concatenate(blocks).reshape((nt, nfields) + target.grid)
+    got = np.concatenate(blocks)
+    assert got.shape == (nt,) + target.grid
     # divide out the phase e^{i xi(M/2) . x} of the shifted storage
     x = np.meshgrid(*[np.arange(P) * (2 * np.pi / (th * P))
                       for th, P in zip(geom.thetas, target.grid)], indexing="ij")
     phase = np.exp(1j * sum(th * M / 2 * xa for th, M, xa in zip(geom.thetas, geom.grid, x)))
     for j in range(nt):
-        for i, f in enumerate(fields):
-            want = field_samples(truncate_field(free_evolve(f, t0 + j * dt), target))
-            assert np.abs(got[j, i] / phase - want).max() <= tol * np.abs(want).max()
+        want = field_samples(free_evolve(f, t0 + j * dt), target)
+        assert np.abs(got[j] / phase - want).max() <= tol * np.abs(want).max()
 
 
 def _direct_spacetime_lp_mean(f, p, nt):
@@ -225,7 +223,7 @@ def test_free_samples_leaves_no_worker_behind(monkeypatch):
     f = random_shell_field(TorusGeometry(2, (1.0, 1.0), (8, 8)), 2, 0)
     before = threading.active_count()
     ran_on = set()
-    blocks = _free_samples([f], 2, 0.0, 0.1, 20, 8, np.complex64,
+    blocks = _free_samples(f, 2, 0.0, 0.1, 20, 8, np.complex64,
                            lambda rows, u: ran_on.add(threading.current_thread()))
     next(blocks)
     blocks.close()
@@ -246,7 +244,7 @@ def test_free_samples_raises_a_slice_error(monkeypatch):
             raise RuntimeError("slice failed")
 
     with pytest.raises(RuntimeError, match="slice failed"):
-        list(_free_samples([f], 2, 0.0, 0.1, 6, 6, np.complex64, consume))
+        list(_free_samples(f, 2, 0.0, 0.1, 6, 6, np.complex64, consume))
 
 
 @pytest.mark.parametrize("M", [(32, 32), (16, 16, 16)])
@@ -260,7 +258,7 @@ def test_free_samples_holds_only_its_transform_buffers(M):
     bufs = sum(chunk * math.prod(P[:a] + M[a:]) for a in range(1, len(M) + 1)) * dtype.itemsize
     tracemalloc.start()
     try:
-        for _ in _free_samples([f], 2, 0.0, 0.1, 16, chunk, dtype):
+        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -292,9 +290,9 @@ def _chunks(monkeypatch, run=False):
     unless run, the spy yields no block."""
     chunks, real = [], bench_module._free_samples
 
-    def spy(fields, pad, t0, dt, nt, chunk, *args, **kwargs):
+    def spy(f, pad, t0, dt, nt, chunk, *args, **kwargs):
         chunks.append(chunk)
-        return real(fields, pad, t0, dt, nt, chunk, *args, **kwargs) if run else iter(())
+        return real(f, pad, t0, dt, nt, chunk, *args, **kwargs) if run else iter(())
 
     monkeypatch.setattr(bench_module, "_free_samples", spy)
     return chunks
@@ -424,10 +422,12 @@ def test_bench_strichartz_small_run(monkeypatch):
 
 
 def test_bench_strichartz_validation():
-    with pytest.raises(ValueError):
-        bench_strichartz(2, 3.0, (2, 4, 8), 1, 0)  # below critical 2(d+2)/d
-    with pytest.raises(ValueError):
-        bench_strichartz(4, 10.0, (2, 4, 8), 1, 0)  # full grid only d <= 3
+    for p in (3.0, 4.0, math.inf, math.nan):  # not above critical 2(d+2)/d = 4, or not finite
+        with pytest.raises(ValueError, match="need a finite p above"):
+            bench_strichartz(2, p, (2, 4, 8), 1, 0)
+    for d in (0, 4):  # full grid only 1 <= d <= 3; d = 0 has no critical exponent
+        with pytest.raises(ValueError, match="supports 1 <= d <= 3"):
+            bench_strichartz(d, 10.0, (2, 4, 8), 1, 0)
 
 
 def test_bench_bernstein_small_run():
@@ -477,8 +477,9 @@ def test_trilinear_identical_factors_take_one_transform(monkeypatch):
     # field is real, so only the first half of the time grid is evaluated
     assert calls == [(1, 48, 12), (1, 48, 36)] * ((nt + 1) // 2)
     calls.clear()
+    # three copies are three passes, stepped together: three transforms a time
     copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, T, nt)
-    assert calls == [(3, 48, 12), (3, 48, 36)] * ((nt + 1) // 2)
+    assert calls == [(1, 48, 12), (1, 48, 36)] * 3 * ((nt + 1) // 2)
     monkeypatch.undo()
     want = _direct_trilinear_samples([ones] * 3, 0.25, T, nt)
     assert np.all(np.abs(shared - copies) <= 1e-12 * shared)
@@ -491,12 +492,12 @@ def test_trilinear_samples_mirror_only_real_data(monkeypatch):
     # real-valued factors take the first ceil(nt/2) times of the symmetric
     # grid and mirror the rest; any non-real factor, a Nyquist-plane mode
     # (its own conjugate mirror, but not real) or one perturbed coefficient
-    # of a real field takes every time
+    # of a real field takes every time.  Each distinct factor is one pass.
     evaluated, real = [], bench_module._free_samples
 
-    def spy(fields, pad, t0, dt, nt, *args):
+    def spy(f, pad, t0, dt, nt, *args):
         evaluated.append(nt)
-        return real(fields, pad, t0, dt, nt, *args)
+        return real(f, pad, t0, dt, nt, *args)
 
     monkeypatch.setattr(bench_module, "_free_samples", spy)
     rng = np.random.default_rng(11)
@@ -517,9 +518,40 @@ def test_trilinear_samples_mirror_only_real_data(monkeypatch):
                 for nt in (1, 2, 3, 16, 17):
                     evaluated.clear()
                     got = _trilinear_samples(phis, 0.25, 0.4, nt)
-                    assert evaluated == [(nt + 1) // 2 if mirrored else nt]
+                    distinct = len({id(f) for f in phis})
+                    assert evaluated == [(nt + 1) // 2 if mirrored else nt] * distinct
                     want = _direct_trilinear_samples(phis, 0.25, 0.4, nt)
                     assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("d, M, N", [(2, 64, 16), (3, 16, 4)])
+def test_trilinear_samples_sum_blocks_in_the_product_buffer(d, M, N):
+    # the `ones` row holds one pass's transform buffers, the product and
+    # the Re^2 + Im^2 weights of one bincount: a peak of 3.84 (d=2) and 3.62
+    # (d=3) padded complex128 grids, against 4.46 and 4.15 with separate
+    # Re^2 and Im^2 buffers
+    geom = TorusGeometry(d, (1.0,) * d, (M,) * d)
+    ones = [shell_extremizer_field(geom, N, "ones")] * 3
+    grid = 16 * geom.padded(3).npoints
+    _trilinear_samples(ones, 0.25, 1.0, 1)  # the cached bins are not the kernel's
+    tracemalloc.start()
+    try:
+        _trilinear_samples(ones, 0.25, 1.0, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * grid, peak / grid
+
+
+def test_bench_trilinear_rows_are_pinned():
+    # the sampling passes and the block sums keep every bit of the rows
+    rows = bench_trilinear(2, 0.25, 0.3, [2, 4, 8], 2, 0).rows
+    assert [repr(r) for r in rows] == ["(2, 2, 2, 0.2404464170393082)",
+                                       "(4, 4, 4, 0.22703210208493474)",
+                                       "(8, 8, 8, 0.19015775830914747)"]
+    rows = bench_trilinear(3, 0.25, None, [2, 4], 1, 0).rows
+    assert [repr(r) for r in rows] == ["(2, 2, 2, 0.058509554477828775)",
+                                       "(4, 4, 4, 0.07311773375057495)"]
 
 
 def test_bench_trilinear_validation():

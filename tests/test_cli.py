@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlslab
+from nlslab import hierarchy as hierarchy_module
 from nlslab import solver as solver_module
 from nlslab.bench import ExperimentReport, fit_exponent, fit_loglog
 from nlslab.cli import build_parser, main
+from nlslab.hierarchy import FactorizedDensityMatrix
 from nlslab.report import (
     format_value,
     read_manifest,
@@ -602,6 +604,25 @@ def test_cli_verify_hierarchy_prints_the_plane_wave_mass(capsys):
     assert ratio < 1e-13
 
 
+def test_cli_verify_hierarchy_fails_a_wrong_collision_sign(monkeypatch, capsys):
+    # with the sign of every bra term of the collision flipped, the plane
+    # wave's residual is a fraction of its mass (0.400), not rounding, and
+    # the halving ratio reads 1: the run fails on both
+    real = hierarchy_module._collisions
+
+    def flipped(gamma, j):
+        out = real(gamma, j)
+        terms = [(c if i % 2 == 0 else -c, kets, bras) for i, (c, kets, bras) in enumerate(out.terms)]
+        return FactorizedDensityMatrix(out.order, terms)
+
+    monkeypatch.setattr(hierarchy_module, "_collisions", flipped)
+    assert main("verify hierarchy --k 2 --T 0.1".split()) == 2
+    out = capsys.readouterr().out.splitlines()
+    ratio = float(re.fullmatch(r"plane-wave weighted mass \S+  residual/mass (\S+)", out[1])[1])
+    assert ratio > 0.1
+    assert out[-1].endswith("[FAIL]")
+
+
 def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NLSLAB_OUTDIR", str(tmp_path))
     assert main(["verify", "duhamel", "--d", "1", "--T", "0.1", "--dump", "t.bin"]) == 0
@@ -629,6 +650,12 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
     ("bench trilinear --T 0 --out r.csv", "error: need T > 0 and finite, not 0"),
     ("bench trilinear --T -1 --out r.csv", "error: need T > 0 and finite, not -1"),
     ("bench trilinear --T inf --out r.csv", "error: need T > 0 and finite, not inf"),
+    ("bench strichartz --p inf --out r.csv",
+     "error: need a finite p above the critical exponent 2(d+2)/d = 4, not inf"),
+    ("bench strichartz --p nan --out r.csv",
+     "error: need a finite p above the critical exponent 2(d+2)/d = 4, not nan"),
+    ("bench strichartz --d 0 --out r.csv",
+     "error: full-grid evaluation supports 1 <= d <= 3, not 0"),
     # a ratio or a refined value that is not a number is an error, not a row
     ("bench bernstein --p nan --out r.csv",
      "error: bernstein ratio is nan at N=4, label random"),
@@ -654,7 +681,8 @@ def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
      "0.000720438 vs 0.293894 on refinement"),
 ], ids=["nmin", "nmax", "trials", "sobolev-product-trials", "levels", "levels-inhomogeneous",
         "lemma25-m", "lemma25-m-negative", "lemma25-m-above", "params-d",
-        "trilinear-T-zero", "trilinear-T-negative", "trilinear-T-inf", "bernstein-p-nan",
+        "trilinear-T-zero", "trilinear-T-negative", "trilinear-T-inf", "strichartz-p-inf",
+        "strichartz-p-nan", "strichartz-d-zero", "bernstein-p-nan",
         "cubic-product-alpha-nan", "sobolev-embedding-s-nan", "xsb-b-nan", "hierarchy-rank-budget",
         "hierarchy-rank-budget-dt2", "expansion-rank-budget-dt2",
         "expansion-rank-budget-k2-dt2", "xsb-refinement"])

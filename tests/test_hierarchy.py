@@ -400,8 +400,8 @@ def test_collision_full_forms_each_distinct_product_once(monkeypatch, k):
     # which phi and its conjugate share one transform, and the slot products
     # of every j are one more: three padded inverse FFTs for every k
     calls = []
-    samples = torus_module._padded_samples
-    monkeypatch.setattr(torus_module, "_padded_samples",
+    samples = torus_module.field_samples
+    monkeypatch.setattr(torus_module, "field_samples",
                         lambda f, big: calls.append(big) or samples(f, big))
     coll = collision_full(tensor_power(_rand(GEOM, 12), k + 1))
     assert calls == [GEOM.padded(2)] * 3

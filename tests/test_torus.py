@@ -369,8 +369,8 @@ def test_product_field_is_the_convolution_of_its_factors(geom, picks, seed):
 
 def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     calls = []
-    samples = torus_module._padded_samples
-    monkeypatch.setattr(torus_module, "_padded_samples",
+    samples = torus_module.field_samples
+    monkeypatch.setattr(torus_module, "field_samples",
                         lambda f, big: calls.append(big) or samples(f, big))
     phi = _random_field(GEOMS[1], 17)
     cubic_field(phi)
@@ -384,16 +384,50 @@ def test_product_field_transforms_each_distinct_factor_once(monkeypatch):
     assert calls[3:] == [GEOMS[1].padded(3)] + [GEOMS[1].padded(2)] * 2
 
 
+def _ifftn_samples(f):
+    """The unpruned inverse transform: f's samples by numpy's ifftn."""
+    return np.fft.ifftn(f.coeffs) * f.geometry.npoints
+
+
+def _fftn_field(geom, samples):
+    """The unpruned forward transform: the field by numpy's fftn."""
+    return SpectralField(geom, np.fft.fftn(samples) / geom.npoints)
+
+
+@pytest.mark.parametrize("geom", GEOMS + [
+    TorusGeometry(1, (0.7,), (10,)),
+    TorusGeometry(2, (1.0, 1.0), (12, 12)),
+    TorusGeometry(2, (1.0, math.sqrt(2.0)), (6, 10)),
+    TorusGeometry(3, (1.0, 1.0, 1.0), (6, 6, 6)),
+    TorusGeometry(3, (1.0, math.sqrt(2.0), 0.5), (6, 4, 10)),
+], ids=["d1", "d2", "d3", "d1-short", "d2-square", "d2-rect", "d3-cube", "d3-rect"])
+def test_transform_pair_is_bit_identical_to_ifftn_and_fftn(geom):
+    f = _random_field(geom, 45)
+    rng = np.random.default_rng(46)
+    s = rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
+    assert np.array_equal(field_samples(f), _ifftn_samples(f))
+    assert np.array_equal(field_from_samples(geom, s).coeffs, _fftn_field(geom, s).coeffs)
+    assert np.array_equal(field_from_samples(geom, s.real).coeffs,
+                          _fftn_field(geom, s.real).coeffs)
+    # padded samples and a cut back to the base band
+    big = geom.padded(2)
+    want = _ifftn_samples(truncate_field(f, big))
+    assert np.array_equal(field_samples(f, big), want)
+    got = field_from_samples(big, want, geom)
+    assert got.geometry == geom
+    assert np.array_equal(got.coeffs, truncate_field(_fftn_field(big, want), geom).coeffs)
+
+
 def _unpruned_product(factors, conj, big, band):
     """The product the pruned transforms must reproduce: every factor
     embedded in the padded grid big, a full ifftn and fftn, then the cut to
     band."""
     prod = None
     for f, cj in zip(factors, conj):
-        s = field_samples(truncate_field(f, big))
+        s = _ifftn_samples(truncate_field(f, big))
         s = np.conj(s) if cj else s
         prod = s if prod is None else prod * s
-    return truncate_field(field_from_samples(big, prod), band)
+    return truncate_field(_fftn_field(big, prod), band)
 
 
 @pytest.mark.parametrize("geom", [
@@ -421,7 +455,7 @@ def test_lp_norm_is_bit_identical_to_the_unpruned_samples():
     for geom in GEOMS + [TorusGeometry(2, (1.0, math.sqrt(2.0)), (6, 10))]:
         f = _random_field(geom, 42)
         big = geom.padded(2)
-        s = np.abs(field_samples(truncate_field(f, big)))
+        s = np.abs(_ifftn_samples(truncate_field(f, big)))
         assert lp_norm(f, np.inf) == float(s.max())
         for p in (1.0, 2.0, 3.5, 6.0):
             want = float((np.sum(s ** p) * (big.volume / big.npoints)) ** (1.0 / p))
