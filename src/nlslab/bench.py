@@ -49,9 +49,16 @@ __all__ = [
 STRICHARTZ_RANDOM_NT = 32  # time samples of the random rows of bench_strichartz
 TRILINEAR_NT = 17  # and of bench_trilinear
 STRICHARTZ_CHUNK = 32  # most times per block of _spacetime_lp_mean, a power of two
-# bytes of a _spacetime_lp_mean block (transform buffers and power rows);
-# 128 MiB holds 32 times of every d=2 block up to N=64, 4 MiB a time there
+# bytes that size a _spacetime_lp_mean block, counted per time as transform
+# buffers and a power row: 128 MiB holds 32 times of every d=2 block up to
+# N=64, 4 MiB a time there.  The block fixes the phase recurrence and the
+# sums, so the report bytes; the transform buffers hold lanes x group times
 STRICHARTZ_BUDGET = 128 << 20
+# bytes of one lane's transform buffers in _free_samples; a group is as many
+# times as fit, and at least one.  On the strichartz workload 1 MiB peaks at
+# 52.4 MiB and 4 MiB at 58.8 MiB, 6 % faster; groups of one time make the
+# d=1 sweep to N=64 four times as slow
+SAMPLE_GROUP_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,17 +180,22 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
+def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
     """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) on the grid padded
-    by pad, in blocks of at most chunk times.
+    by pad, in blocks of at most chunk times, handed to consume.
 
     region, when given, keeps the points 0 <= k_j < region[j] of the padded
-    grid P (default: all of P).  A block has shape (n,) + region, one row per
-    time.  It is a view of the last axis's transform buffer, valid until the
-    next block: that transform runs in place, so the kernel holds its
-    per-axis transform buffers and no sample buffer.  A slice's phases come
-    by recurrence, one M-sized phase at a time, from exp(-i t0 lambda) times
-    exp(-i dt lambda) per step; each chunk advances the coefficients by
+    grid P (default: all of P).  consume(rows, u) receives the samples u of
+    the times rows (a slice of the block, one row of u per time, each of
+    shape region) as a view of the last axis's transform buffer: that
+    transform runs in place, so the kernel holds its per-axis transform
+    buffers and no sample buffer.  u is valid until the next group of its
+    lane, and consume may overwrite it in place.  The generator yields the
+    length of each block once every sample of the block has been consumed.
+
+    The block fixes the samples: a slice's phases come by recurrence, one
+    M-sized phase at a time, from exp(-i t0 lambda) times exp(-i dt lambda)
+    per step, and each block advances the coefficients by
     exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled by
     the padded grid size, so the samples come out as u e^{i xi(M/2) . x}
     with the padding at the end of each axis.  The inverse FFT runs one axis
@@ -191,14 +203,14 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
     already transformed it takes only the lines inside the region.
 
     A block runs as contiguous time slices, one per CPU this process may run
-    on: the caller runs the first, a thread each of the others (numpy's FFTs
-    and ufuncs release the GIL).  Slices write disjoint rows, so the samples
-    do not depend on their count.  consume(rows, u), if given, runs in each
-    slice on its rows u = block[rows], and may overwrite them in place: the
-    next block transforms its samples afresh from the modes.  All slices
-    finish, and the first error is raised, before a block is yielded or the
-    coefficients advance.  The buffers hold chunk times; the caller sizes
-    chunk to the memory it can spend.
+    on (lanes): the caller runs the first, a thread each of the others
+    (numpy's FFTs and ufuncs release the GIL).  A lane transforms its slice
+    a group at a time, as many times as fit SAMPLE_GROUP_BUDGET bytes of
+    transform buffers and at least one, so the buffers hold lanes x group
+    times, not chunk.  Slices write disjoint rows, and the phase recurrence
+    does not depend on the grouping, so the samples depend on neither the
+    lane count nor the group.  All slices finish, and the first error is
+    raised, before a block is yielded or the coefficients advance.
     """
     geom = f.geometry
     M, P = geom.grid, geom.padded(pad).grid
@@ -207,34 +219,40 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
     coeffs = np.fft.fftshift(f.coeffs) * math.prod(P)
     start = np.exp(-1j * t0 * lam)
     step = np.exp(-1j * dt * lam)
-    advance = np.exp(-1j * (c * dt) * lam)
+    advance = step if c == 1 else np.exp(-1j * (c * dt) * lam)  # c dt is dt at c = 1
+    del lam
+    shapes = [P[:a] + M[a:] for a in range(1, d + 1)]
+    per_time = np.dtype(dtype).itemsize * sum(math.prod(s) for s in shapes)
+    lanes, errors = min(_cpus(), c), []
+    group = max(1, min(SAMPLE_GROUP_BUDGET // per_time, -(-c // lanes)))
     # bufs[a - 1] is the input of the transform along axis a: P wide along
-    # axes 1..a, M wide along the later ones.  The modes and the transforms
-    # along axes 1..d-1 write only the head of the next input, its first M
-    # entries along that axis; the zero tail is the padding.  The last
-    # transform runs in place, so bufs[-1] holds the samples, and each slice
-    # zeroes the tail of the lines it transforms again before it writes.
-    bufs = [np.zeros((c,) + P[:a] + M[a:], dtype=dtype) for a in range(1, d + 1)]
+    # axes 1..a, M wide along the later ones; lane i owns rows i*group up
+    # to (i+1)*group.  The modes and the transforms along axes 1..d-1 write
+    # only the head of the next input, its first M entries along that axis;
+    # the zero tail is the padding.  The last transform runs in place, so
+    # bufs[-1] holds the samples, and each group zeroes the tail of the
+    # lines it transforms again before it writes.
+    bufs = [np.zeros((lanes * group,) + s, dtype=dtype) for s in shapes]
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     outs, tail = heads[1:] + bufs[-1:], bufs[-1][..., M[-1]:]
     cut = tuple(slice(0, r) for r in (P if region is None else region))
-    lanes, errors = _cpus(), []
 
-    def run(lo, hi):
+    def run(lane, lo, hi):
         try:
-            rows = slice(lo, hi)
-            tail[(rows,) + cut[:d - 1]] = 0
             phase = start.copy()
             for _ in range(lo):
                 phase *= step
-            for out in heads[0][rows]:
-                np.multiply(phase, coeffs, out=out)
-                phase *= step
-            for a in range(1, d + 1):
-                lines = (rows,) + cut[:a - 1]
-                np.fft.ifft(bufs[a - 1][lines], axis=a, out=outs[a - 1][lines])
-            if consume is not None:
-                consume(rows, bufs[-1][(rows,) + cut])
+            for g in range(lo, hi, group):
+                k = min(group, hi - g)
+                rows = slice(lane * group, lane * group + k)
+                tail[(rows,) + cut[:d - 1]] = 0
+                for out in heads[0][rows]:
+                    np.multiply(phase, coeffs, out=out)
+                    phase *= step
+                for a in range(1, d + 1):
+                    lines = (rows,) + cut[:a - 1]
+                    np.fft.ifft(bufs[a - 1][lines], axis=a, out=outs[a - 1][lines])
+                consume(slice(g, g + k), bufs[-1][(rows,) + cut])
         except BaseException as exc:  # raised in the caller, below
             errors.append(exc)
 
@@ -242,16 +260,17 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume=None, region=None):
         n = min(c, nt - lo)
         parts = min(lanes, n)
         cuts = [n * i // parts for i in range(parts + 1)]
-        workers = [threading.Thread(target=run, args=ab) for ab in zip(cuts[1:-1], cuts[2:])]
+        workers = [threading.Thread(target=run, args=(i, a, b))
+                   for i, (a, b) in enumerate(zip(cuts[1:-1], cuts[2:]), 1)]
         for w in workers:
             w.start()
-        run(0, cuts[1])
+        run(0, 0, cuts[1])
         for w in workers:
             w.join()
         if errors:
             raise errors[0]
         coeffs *= advance
-        yield bufs[-1][(slice(0, n),) + cut]
+        yield n
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +318,12 @@ def _spacetime_lp_mean(f, p, nt):
     to powd, one contiguous float32 row per time, where it is raised to p/2
     (products, with the real slots as scratch, when p/2 is an integer).
     Each block's float64 sum of powd runs here, whole, so the value does not
-    depend on the number of slices.  A block holds the largest power of two
-    of at most STRICHARTZ_CHUNK times whose transform buffers and powd rows
-    fit STRICHARTZ_BUDGET bytes; it depends on the grid only.
+    depend on the number of slices or groups.  A block holds the largest
+    power of two of at most STRICHARTZ_CHUNK times whose transform buffers
+    and powd rows, counted per time, fit STRICHARTZ_BUDGET bytes; it depends
+    on the grid only.  The block fixes the phase recurrence and the sums, so
+    the value; powd keeps its chunk rows, while the transform buffers hold
+    only lanes x group times (_free_samples).
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
@@ -341,9 +363,9 @@ def _spacetime_lp_mean(f, p, nt):
             pw *= weights
 
     acc = 0.0
-    for samples in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
-                                 region=region):
-        acc += float(np.sum(powd[:len(samples)], dtype=np.float64)) * w
+    for n in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
+                           region=region):
+        acc += float(np.sum(powd[:n], dtype=np.float64)) * w
     return acc / nt
 
 
@@ -408,7 +430,8 @@ def _trilinear_samples(phis, eta, T, nt):
     The pad-3 grid is exact: factor modes in [-M/2, M/2) give product
     modes in [-3M/2, 3M/2), and nothing aliases on 3M points.  Each
     distinct factor (three identical ones are the `ones` row's one object)
-    is one _free_samples pass, the passes in lockstep, times
+    is one _free_samples pass at chunk 1, the passes in lockstep, each
+    consume keeping its pass's view of the current time; the samples are u_j
     e^{i xi(M/2) . x}; the product carries e^{i xi(3M/2) . x}, which on the
     3M grid makes its forward FFT, taken in place, the fftshifted
     coefficients c.  The product's float64 view is squared in place, and
@@ -434,11 +457,14 @@ def _trilinear_samples(phis, eta, T, nt):
     vals = np.empty(nt)
     dt = 2.0 * T / max(nt - 1, 1)  # np.linspace(-T, T, nt); nt = 1 is t = -T
     half = (nt + 1) // 2 if all(_is_real(f) for f in distinct) else nt
-    passes = [_free_samples(f, 3, -T, dt, half, 1, np.complex128) for f in distinct]
-    for i, us in enumerate(zip(*passes)):
-        np.multiply(us[slots[0]][0], us[slots[1]][0], out=prod)
+    us = [None] * len(distinct)  # each pass's view of its one time
+    passes = [_free_samples(f, 3, -T, dt, half, 1, np.complex128,
+                            lambda rows, u, k=k: us.__setitem__(k, u[0]))
+              for k, f in enumerate(distinct)]
+    for i, _ in enumerate(zip(*passes)):
+        np.multiply(us[slots[0]], us[slots[1]], out=prod)
         for j in slots[2:]:
-            prod *= us[j][0]
+            prod *= us[j]
         np.fft.fftn(prod, out=prod)
         np.square(v, out=v)
         vals[i] = float(weight @ np.sqrt(np.bincount(bins, weights=v[0::2] + v[1::2])))

@@ -93,6 +93,23 @@ def _mirrored(c):
     return c
 
 
+def _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=None):
+    """The samples that _free_samples hands to consume, one array per
+    yielded block, one row per time.  The groups tile each block."""
+    blocks, groups, lock = [], {}, threading.Lock()
+
+    def consume(rows, u):
+        with lock:
+            groups[rows.start] = (rows.stop, u.copy())
+
+    for n in _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=region):
+        starts = sorted(groups)
+        assert starts[0] == 0 and groups[starts[-1]][0] == n
+        assert all(groups[a][0] == b for a, b in zip(starts, starts[1:]))
+        blocks.append(np.concatenate([groups.pop(a)[1] for a in starts]))
+    return blocks
+
+
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(1, 3), thetas=st.tuples(*[st.floats(0.5, 1.5)] * 3),
        grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
@@ -118,21 +135,25 @@ def test_free_samples_match_free_evolve(d, thetas, grid, pad, t0, dt, nt, chunk,
     region = tuple(P // 2 + 1 for P in target.grid) if even else None
     dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
     blocks = {}
-    for n in (1, lanes):
+    # one lane, lanes lanes, and lanes lanes of one time a group
+    for run, n, budget in (("one", 1, None), ("lanes", lanes, None), ("groups of 1", lanes, 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench_module, "_cpus", lambda: n)
-            blocks[n] = [b.copy() for b in _free_samples(f, pad, t0, dt, nt, chunk, dtype,
-                                                         region=region)]
-    # the slices write disjoint rows: any lane count gives the same bits
-    assert all(np.array_equal(a, b) for a, b in zip(blocks[1], blocks[lanes], strict=True))
+            if budget is not None:
+                mp.setattr(bench_module, "SAMPLE_GROUP_BUDGET", budget)
+            blocks[run] = _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=region)
+    # the slices write disjoint rows and the phases do not depend on the
+    # grouping: any lane count and any group give the same bits
+    for run in ("lanes", "groups of 1"):
+        assert all(np.array_equal(a, b) for a, b in zip(blocks["one"], blocks[run], strict=True))
     if even:
         # the quadrant is the full grid's samples there, bit for bit
-        full = [b.copy() for b in _free_samples(f, pad, t0, dt, nt, chunk, dtype)]
+        full = _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype)
         quadrant = (slice(None),) + tuple(slice(0, r) for r in region)
         assert all(np.array_equal(q, b[quadrant])
-                   for q, b in zip(blocks[lanes], full, strict=True))
-        blocks[1] = full
-    blocks = blocks[1]
+                   for q, b in zip(blocks["lanes"], full, strict=True))
+        blocks["one"] = full
+    blocks = blocks["one"]
     assert [len(b) for b in blocks] == [min(chunk, nt - lo) for lo in range(0, nt, chunk)]
     assert all(b.dtype == dtype for b in blocks)
     got = np.concatenate(blocks)
@@ -144,6 +165,39 @@ def test_free_samples_match_free_evolve(d, thetas, grid, pad, t0, dt, nt, chunk,
     for j in range(nt):
         want = field_samples(free_evolve(f, t0 + j * dt), target)
         assert np.abs(got[j] / phase - want).max() <= tol * np.abs(want).max()
+
+
+def test_free_samples_reuse_the_step_as_the_advance_of_one_time(monkeypatch):
+    # a pass forms exp(-i t0 lambda), exp(-i dt lambda) and, above chunk 1,
+    # exp(-i chunk dt lambda); at chunk 1 the step is the advance, bit for
+    # bit, so the samples are the plain recurrence c <- c exp(-i dt lambda)
+    geom = TorusGeometry(1, (1.3,), (12,))
+    f = random_shell_field(geom, 4, 0)
+    M, P, t0, dt, nt = 12, 24, -0.4, 0.15, 5
+    tables, real_exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        out = real_exp(x, *args, **kwargs)
+        tables.append(np.shape(out) == (M,))
+        return out
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = {}
+    for chunk in (1, 2, 5):
+        tables.clear()
+        got[chunk] = np.concatenate(_sampled_blocks(f, 2, t0, dt, nt, chunk, np.complex128))
+        assert sum(tables) == (2 if chunk == 1 else 3), chunk
+    monkeypatch.undo()
+    lam = np.fft.fftshift(bench_module._freq_sq(geom))
+    c = np.fft.fftshift(f.coeffs) * P
+    start, step = np.exp(-1j * t0 * lam), np.exp(-1j * dt * lam)
+    for j in range(nt):
+        row = np.zeros(P, dtype=np.complex128)
+        np.multiply(start, c, out=row[:M])
+        assert np.array_equal(got[1][j], np.fft.ifft(row)), j
+        c *= step
+    for chunk in (2, 5):
+        assert np.abs(got[chunk] - got[1]).max() <= 1e-12 * np.abs(got[1]).max()
 
 
 def _direct_spacetime_lp_mean(f, p, nt):
@@ -247,18 +301,27 @@ def test_free_samples_raises_a_slice_error(monkeypatch):
         list(_free_samples(f, 2, 0.0, 0.1, 6, 6, np.complex64, consume))
 
 
+def _held_times(per_time, chunk):
+    """Times that the transform buffers of _free_samples hold: lanes x group."""
+    lanes = min(bench_module._cpus(), chunk)
+    return lanes * max(1, min(bench_module.SAMPLE_GROUP_BUDGET // per_time, -(-chunk // lanes)))
+
+
 @pytest.mark.parametrize("M", [(32, 32), (16, 16, 16)])
-def test_free_samples_holds_only_its_transform_buffers(M):
-    # the last transform runs in place and the phases come one per step:
-    # the peak is 1.30x (32^2) and 1.14x (16^3) of the per-axis transform
-    # buffers, against 2.51x and 1.85x with a sample buffer and a phase table
+def test_free_samples_holds_only_its_transform_buffers(monkeypatch, M):
+    # the last transform runs in place and the phases come one per step: on
+    # two lanes the peak is 1.36x (32^2, groups of 4) and 1.26x (16^3, groups
+    # of 2) of the buffers of lanes x group times, which at 16^3 hold 4 of
+    # the chunk's 8 times
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 2)
     geom = TorusGeometry(len(M), (1.0,) * len(M), M)
     f = random_shell_field(geom, 4, 0)
     P, chunk, dtype = geom.padded(2).grid, 8, np.dtype(np.complex64)
-    bufs = sum(chunk * math.prod(P[:a] + M[a:]) for a in range(1, len(M) + 1)) * dtype.itemsize
+    per_time = sum(math.prod(P[:a] + M[a:]) for a in range(1, len(M) + 1)) * dtype.itemsize
+    bufs = _held_times(per_time, chunk) * per_time
     tracemalloc.start()
     try:
-        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype):
+        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype, lambda rows, u: None):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -269,8 +332,8 @@ def test_free_samples_holds_only_its_transform_buffers(M):
 @pytest.mark.parametrize("kind, bound", [("random", 1.5), ("ones", 1.2)])
 def test_spacetime_lp_mean_forms_the_power_in_the_transform_buffer(monkeypatch, kind, bound):
     # |u|^2 comes from the samples' own buffer into one float32 row per time:
-    # on one lane the peak is 1.40x (full grid) and 1.16x (quadrant) of the
-    # transform buffers, against 1.74x and 1.24x with a separate |u|^2 buffer
+    # on one lane the peak is 0.55x (full grid) and 0.31x (quadrant) of the
+    # transform buffers of 32 times, which hold 5 (groups of 5)
     monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
     geom = TorusGeometry(2, (1.0, 1.0), (64, 64))
     f = random_shell_field(geom, 8, 0) if kind == "random" else shell_extremizer_field(geom, 8, kind)
@@ -283,6 +346,31 @@ def test_spacetime_lp_mean_forms_the_power_in_the_transform_buffer(monkeypatch, 
     finally:
         tracemalloc.stop()
     assert peak <= bound * bufs, peak / bufs
+
+
+@pytest.mark.parametrize("kind", ["random", "ones"])
+def test_spacetime_lp_mean_holds_lanes_times_group_transform_buffers(monkeypatch, kind):
+    # a chunk of 32 times on two lanes of 5 times a group (192 KiB a time):
+    # the peak is 1.13x (full grid) and 1.21x (quadrant) of 10 times of
+    # transform buffers plus 32 powd rows, 4.4 and 2.9 MiB, where buffers of
+    # the chunk's 32 times alone take 6 MiB; a separate |u|^2 buffer would
+    # read 1.65x and 1.43x
+    monkeypatch.setattr(bench_module, "_cpus", lambda: 2)
+    geom = TorusGeometry(2, (1.0, 1.0), (64, 64))
+    f = random_shell_field(geom, 8, 0) if kind == "random" else shell_extremizer_field(geom, 8, kind)
+    M, P, nt = geom.grid, geom.padded(2).grid, 32
+    region = P if kind == "random" else tuple(n // 2 + 1 for n in P)
+    per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2))
+    assert _held_times(per_time, nt) == 10
+    held = _held_times(per_time, nt) * per_time + nt * 4 * math.prod(region)
+    tracemalloc.start()
+    try:
+        _spacetime_lp_mean(f, 6.0, nt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * held, peak / held
+    assert peak < nt * per_time, peak / (nt * per_time)
 
 
 def _chunks(monkeypatch, run=False):
