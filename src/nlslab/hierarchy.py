@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .bench import admissible_parameters
-from .torus import free_evolve, pointwise_product, product_field, _sobolev_weight
+from .torus import (GeometryMismatchError, free_evolve, pointwise_product, product_field,
+                    _sobolev_weight)
 from .solver import simpson_weights
 
 __all__ = [
@@ -161,28 +163,59 @@ def hierarchy_free_evolve(gamma, t):
 TRUNCATION = 1e-15
 
 
+def _geqrf(a, m):
+    """LAPACK zgeqrf, in place, on the first m rows of the column-major
+    matrix whose columns are the rows of the C-contiguous complex128 array
+    a: its R-factor overwrites the upper triangle of those rows, Householder
+    vectors the rest.  numpy.linalg.lapack_lite is numpy's private binding of
+    the LAPACK that np.linalg calls.  lwork is that of np.linalg.qr, the
+    workspace query's and at least n: a smaller one factors unblocked, in
+    other bits."""
+    n, lda = a.shape
+    tau, work = np.empty(min(m, n), np.complex128), np.empty(1, np.complex128)
+    lapack_lite.zgeqrf(m, n, a, lda, tau, work, -1, 0)
+    work = np.empty(max(1, n, int(work[0].real)), np.complex128)
+    if lapack_lite.zgeqrf(m, n, a, lda, tau, work, len(work), 0)["info"]:
+        raise np.linalg.LinAlgError("zgeqrf failed")
+
+
 def _khatri_rao_rows(T, V):
     """Coordinates of the columns sum_i T[i][:, c] (x) V[i][:, c], each a
     sum of Khatri-Rao products: diag(s) W^H, s above TRUNCATION times the
     largest, of the SVD of the R-factor of their rows sum_i T[i][a] * V[i][b],
     accumulated by QR in blocks of about 2R rows so that the
     len(T[0]) * len(V[0]) rows are never all formed (TSQR).  With V one row
-    of ones the rows are T[0]: the one reduction path serves the factors too."""
-    R = T[0].shape[1]
-    step = max(1, 2 * R // max(1, len(V[0])))
+    of ones the rows are T[0]: the one reduction path serves the factors too.
 
-    def block(a):
-        rows = T[0][a:a + step, None, :] * V[0][None, :, :]
+    A stage holds its rows in one stack, a C-contiguous (R, height) array
+    whose column i is row i: the rows in column-major order, which LAPACK
+    factors where they lie (np.linalg.qr would copy its input twice, by
+    astype and by its gufunc's column-major linearization).  Each block is
+    written under the R-factor of the blocks before it, its first summand
+    by one product into the stack and the others one row of T at a time;
+    zgeqrf factors the rows in place (_geqrf), and the R-factor's strict
+    lower triangle is zeroed for the next block.  The stack has the rows a
+    stage stacks: one block, under R rows if there is more than one.  The
+    R-factor is copied out and the stack freed before the SVD, which with
+    its copies of the R-factor, U and W^H is the peak of the stage."""
+    R, nT, nV = T[0].shape[1], len(T[0]), len(V[0])
+    step = max(1, 2 * R // max(1, nV))
+    stack = np.empty((R, min(step, nT) * nV + (R if nT > step else 0)), np.complex128)
+    rows, top = stack.T, 0
+    for a in range(0, nT, step):
+        block = rows[top:top + min(step, nT - a) * nV].reshape(-1, nV, R)
+        np.multiply(T[0][a:a + step, None, :], V[0][None, :, :], out=block)
         for t, v in zip(T[1:], V[1:]):
-            rows += t[a:a + step, None, :] * v[None, :, :]
-        return rows.reshape(-1, R)
-
-    acc = np.zeros((0, R), dtype=np.complex128)
-    for a in range(0, len(T[0]), step):
-        # a block lives only until it is concatenated: neither the QR's own
-        # copy nor the SVD of the R-factor holds it
-        acc = np.linalg.qr(np.concatenate([acc, block(a)]), mode="r")
-    _, s, wh = np.linalg.svd(acc, full_matrices=False)
+            for i in range(len(block)):
+                block[i] += t[a + i] * v
+        m = top + len(block) * nV
+        _geqrf(stack, m)
+        top = min(R, m)
+        for j in range(top):
+            rows[j + 1:top, j] = 0
+    acc = rows[:top].copy()
+    stack = rows = block = None
+    s, wh = np.linalg.svd(acc, full_matrices=False)[1:]
     keep = s > TRUNCATION * s.max(initial=0.0)
     return s[keep, None] * wh[keep]
 
@@ -224,7 +257,14 @@ def _reduced_matrices(gammas, alpha):
     of as many summands as it has last factors; a sum of single factors is
     the sum of their coordinates.  The collision sum (B, phi, .., phi) +
     .. + (phi, .., phi, B) of a stored time takes two prefix sums per stage,
-    of at most two summands each.  Every stage is _khatri_rao_rows."""
+    of at most two summands each.  Every stage is _khatri_rao_rows.
+
+    Lists of different orders raise ValueError, and a factor whose geometry
+    is not that of the first factor GeometryMismatchError, checked once per
+    distinct factor object."""
+    orders = {g.order for g in gammas}
+    if len(orders) > 1:
+        raise ValueError("term lists of orders %s share no basis" % sorted(orders))
     geom = next(g.geometry for g in gammas if g.terms)
     index, buckets, coeffs, columns = {}, {}, [], {}
 
@@ -232,6 +272,8 @@ def _reduced_matrices(gammas, alpha):
         # no copy of the bytes is kept: bucket by a digest of the buffer, read
         # in place, and confirm a match byte for byte
         if id(f) not in index:
+            if f.geometry != geom:
+                raise GeometryMismatchError("factors live on %s and %s" % (geom, f.geometry))
             data = f.coeffs.view(np.uint8)
             bucket = buckets.setdefault(hashlib.blake2b(data).digest(), [])
             i = next((i for i in bucket if np.array_equal(coeffs[i].view(np.uint8), data)),

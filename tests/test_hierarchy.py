@@ -232,8 +232,9 @@ def test_stage1_reduces_two_prefix_sums_per_stored_time(monkeypatch):
 
 def test_trace_norms_peak_memory():
     # the k = 3 checkpoints peak at 6.9 MiB when every product is its own
-    # column of the last stage, at 3.2 MiB with summed sides, and at 1.8 MiB
-    # with the summed sides factored by their last factors
+    # column of the last stage, at 3.2 MiB with summed sides, at 1.8 MiB
+    # with the summed sides factored by their last factors, and at 1.39 MiB
+    # with each stage's blocks factored in place in one stack
     gammas = _checkpoint_defects(3)
     tracemalloc.start()
     try:
@@ -241,7 +242,104 @@ def test_trace_norms_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2 ** 20, peak / 2 ** 20
+    assert peak < 1.6 * 2 ** 20, peak / 2 ** 20
+
+
+def _reference_khatri_rao_rows(T, V):
+    # the blocked QR through np.concatenate and np.linalg.qr(mode="r") that
+    # the in-place factorization of one stack replaced, in the same blocks
+    R = T[0].shape[1]
+    step = max(1, 2 * R // max(1, len(V[0])))
+
+    def block(a):
+        rows = T[0][a:a + step, None, :] * V[0][None, :, :]
+        for t, v in zip(T[1:], V[1:]):
+            rows += t[a:a + step, None, :] * v[None, :, :]
+        return rows.reshape(-1, R)
+
+    acc = np.zeros((0, R), dtype=np.complex128)
+    for a in range(0, len(T[0]), step):
+        acc = np.linalg.qr(np.concatenate([acc, block(a)]), mode="r")
+    _, s, wh = np.linalg.svd(acc, full_matrices=False)
+    keep = s > hierarchy_module.TRUNCATION * s.max(initial=0.0)
+    return s[keep, None] * wh[keep]
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("nT, nV, R, summands", [
+    (50, 7, 20, 1),    # tall: blocks of 5 rows of T, the last one of 0 + 5
+    (47, 7, 20, 2),    # tall, a partial last block of 2 rows of T
+    (40, 9, 150, 2),   # R past the 128 columns where zgeqrf factors in blocks
+    (13, 3, 60, 1),    # wide: 39 rows under 60 columns, one block
+    (13, 3, 60, 2),
+    (5, 100, 30, 2),   # blocks of one row of T, each wider than R
+    (400, 1, 30, 1),   # the factor stage: V one row of ones, 7 blocks
+    (40, 1, 30, 1),    # the factor stage with fewer rows than 2R
+])
+def test_khatri_rao_rows_in_place_match_the_concatenated_qr(nT, nV, R, summands):
+    # zgeqrf on the stack, with np.linalg.qr's lwork, is np.linalg.qr bit
+    # for bit; this also guards numpy's private lapack_lite binding
+    rng = np.random.default_rng(nT * nV + R + summands)
+    T = [_complex(rng, nT, R) for _ in range(summands)]
+    V = [np.ones((1, R))] if nV == 1 else [_complex(rng, nV, R) for _ in range(summands)]
+    want = _reference_khatri_rao_rows(T, V)
+    got = hierarchy_module._khatri_rao_rows(T, V)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_trace_norms_match_the_concatenated_qr(monkeypatch):
+    for k in (1, 2, 3):
+        gammas = _checkpoint_defects(k)
+        got = trace_norms(gammas, ALPHA)
+        monkeypatch.setattr(hierarchy_module, "_khatri_rao_rows", _reference_khatri_rao_rows)
+        assert got == trace_norms(gammas, ALPHA), k
+        monkeypatch.undo()
+
+
+def test_khatri_rao_rows_peak_memory():
+    # the shapes of the R = 502 last stage of `verify hierarchy --k 3` at
+    # dt = 2e-3: two summands, 87 rows of T over 32 of V, so blocks of 31
+    # rows of T stacked under the R-factor.  Its stack of (R + 31 * 32) x R
+    # complex128 is 11.4 MiB; on these full-rank rows the stage peaks at
+    # 1.36 times that, the stack and the R-factor copied out of it, against
+    # 2.69 times through np.concatenate and np.linalg.qr
+    rng = np.random.default_rng(502)
+    R, nT, nV = 502, 87, 32
+    T = [_complex(rng, nT, R) for _ in range(2)]
+    V = [_complex(rng, nV, R) for _ in range(2)]
+    stack = (R + (2 * R // nV) * nV) * R * 16
+    tracemalloc.start()
+    try:
+        hierarchy_module._khatri_rao_rows(T, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack, peak / stack
+
+
+def test_trace_norms_reject_mixed_orders_and_geometries():
+    geom = TorusGeometry(1, (1.0,), (16,))
+    other = TorusGeometry(1, (2.0,), (16,))
+    unit = 1 / np.sqrt(2 * np.pi)  # unit L2 norm on the torus of theta 1
+    phi, psi = unit * mode_field(geom, (1,)), unit * mode_field(geom, (2,))
+    # orders 1 and 2 in one basis read [4.0, 9.0] (not 81.0 for the
+    # second), and raised IndexError in the other order
+    for gammas in ([tensor_power(2 * phi, 1), tensor_power(3 * psi, 2)],
+                   [tensor_power(3 * psi, 2), tensor_power(2 * phi, 1)]):
+        with pytest.raises(ValueError, match="orders"):
+            trace_norms(gammas)
+    # lists on tori of theta 1 and 2 read [1.0, 1.0] through the first
+    # one's volume; the second alone reads 0.5
+    wave = unit * mode_field(other, (1,))
+    assert trace_norms([tensor_power(wave, 1)]) == pytest.approx([0.5])
+    with pytest.raises(torus_module.GeometryMismatchError):
+        trace_norms([tensor_power(phi, 1), tensor_power(wave, 1)])
+    # and a term with its ket on one torus and its bra on the other
+    with pytest.raises(torus_module.GeometryMismatchError):
+        trace_norm(FactorizedDensityMatrix(1, [(1.0, (phi,), (wave,))]))
 
 
 def test_dense_kernel_is_one_product_of_the_stacked_terms():
