@@ -51,13 +51,13 @@ TRILINEAR_NT = 17  # and of bench_trilinear
 STRICHARTZ_CHUNK = 32  # most times per block of _spacetime_lp_mean, a power of two
 # bytes that size a _spacetime_lp_mean block, counted per time as transform
 # buffers and a power row: 128 MiB holds 32 times of every d=2 block up to
-# N=64, 4 MiB a time there.  The block fixes the phase recurrence and the
-# sums, so the report bytes; the transform buffers hold lanes x group times
+# N=64, 4 MiB a time there.  The block fixes the phase recurrence, so the
+# samples and the report bytes; the buffers hold lanes x group times
 STRICHARTZ_BUDGET = 128 << 20
-# bytes of one lane's transform buffers in _free_samples; a group is as many
-# times as fit, and at least one.  On the strichartz workload 1 MiB peaks at
-# 52.4 MiB and 4 MiB at 58.8 MiB, 6 % faster; groups of one time make the
-# d=1 sweep to N=64 four times as slow
+# bytes of one lane's transform buffers and scratch rows in _free_samples; a
+# group is as many times as fit, and at least one.  On the strichartz
+# workload 1 MiB peaks at 44.9 MiB and 4 MiB at 51.3 MiB, faster in 3 of 4
+# pairs; groups of one time make the d=1 sweep to N=64 four times as slow
 SAMPLE_GROUP_BUDGET = 1 << 20
 
 
@@ -180,18 +180,21 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
+def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratch=None):
     """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) on the grid padded
     by pad, in blocks of at most chunk times, handed to consume.
 
     region, when given, keeps the points 0 <= k_j < region[j] of the padded
-    grid P (default: all of P).  consume(rows, u) receives the samples u of
-    the times rows (a slice of the block, one row of u per time, each of
-    shape region) as a view of the last axis's transform buffer: that
-    transform runs in place, so the kernel holds its per-axis transform
-    buffers and no sample buffer.  u is valid until the next group of its
-    lane, and consume may overwrite it in place.  The generator yields the
-    length of each block once every sample of the block has been consumed.
+    grid P (default: all of P).  consume(times, u, s) receives, for times a
+    slice of range(nt), their samples u (one row per time, each of shape
+    region) as a view of the last axis's transform buffer: that transform
+    runs in place, so the kernel holds its per-axis transform buffers and no
+    sample buffer.  u is valid until the next group of its lane, and consume
+    may overwrite it in place.  scratch, when given, is a dtype: every
+    transform-buffer row then has one contiguous scratch row of shape region,
+    and s is the group's rows of them (None without scratch).  The generator
+    yields the length of each block once every sample of the block has been
+    consumed.
 
     The block fixes the samples: a slice's phases come by recurrence, one
     M-sized phase at a time, from exp(-i t0 lambda) times exp(-i dt lambda)
@@ -206,11 +209,12 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
     on (lanes): the caller runs the first, a thread each of the others
     (numpy's FFTs and ufuncs release the GIL).  A lane transforms its slice
     a group at a time, as many times as fit SAMPLE_GROUP_BUDGET bytes of
-    transform buffers and at least one, so the buffers hold lanes x group
-    times, not chunk.  Slices write disjoint rows, and the phase recurrence
-    does not depend on the grouping, so the samples depend on neither the
-    lane count nor the group.  All slices finish, and the first error is
-    raised, before a block is yielded or the coefficients advance.
+    transform buffers and scratch rows and at least one, so the buffers hold
+    lanes x group times, not chunk.  Slices write disjoint rows, and the
+    phase recurrence does not depend on the grouping, so the samples depend
+    on neither the lane count nor the group.  All slices finish, and the
+    first error is raised, before a block is yielded or the coefficients
+    advance.
     """
     geom = f.geometry
     M, P = geom.grid, geom.padded(pad).grid
@@ -223,6 +227,8 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
     del lam
     shapes = [P[:a] + M[a:] for a in range(1, d + 1)]
     per_time = np.dtype(dtype).itemsize * sum(math.prod(s) for s in shapes)
+    if scratch is not None:
+        per_time += np.dtype(scratch).itemsize * math.prod(region or P)
     lanes, errors = min(_cpus(), c), []
     group = max(1, min(SAMPLE_GROUP_BUDGET // per_time, -(-c // lanes)))
     # bufs[a - 1] is the input of the transform along axis a: P wide along
@@ -236,8 +242,9 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
     heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     outs, tail = heads[1:] + bufs[-1:], bufs[-1][..., M[-1]:]
     cut = tuple(slice(0, r) for r in (P if region is None else region))
+    rows_of = None if scratch is None else np.empty((lanes * group,) + (region or P), scratch)
 
-    def run(lane, lo, hi):
+    def run(lane, base, lo, hi):
         try:
             phase = start.copy()
             for _ in range(lo):
@@ -252,19 +259,20 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None):
                 for a in range(1, d + 1):
                     lines = (rows,) + cut[:a - 1]
                     np.fft.ifft(bufs[a - 1][lines], axis=a, out=outs[a - 1][lines])
-                consume(slice(g, g + k), bufs[-1][(rows,) + cut])
+                consume(slice(base + g, base + g + k), bufs[-1][(rows,) + cut],
+                        None if rows_of is None else rows_of[rows])
         except BaseException as exc:  # raised in the caller, below
             errors.append(exc)
 
-    for lo in range(0, nt, c):
-        n = min(c, nt - lo)
+    for base in range(0, nt, c):
+        n = min(c, nt - base)
         parts = min(lanes, n)
         cuts = [n * i // parts for i in range(parts + 1)]
-        workers = [threading.Thread(target=run, args=(i, a, b))
+        workers = [threading.Thread(target=run, args=(i, base, a, b))
                    for i, (a, b) in enumerate(zip(cuts[1:-1], cuts[2:]), 1)]
         for w in workers:
             w.start()
-        run(0, 0, cuts[1])
+        run(0, base, 0, cuts[1])
         for w in workers:
             w.join()
         if errors:
@@ -315,15 +323,19 @@ def _spacetime_lp_mean(f, p, nt):
 
     The |u|^p step runs in the time slices of _free_samples, in the samples'
     own buffer: their float32 view is squared in place, and Re^2 + Im^2 goes
-    to powd, one contiguous float32 row per time, where it is raised to p/2
-    (products, with the real slots as scratch, when p/2 is an integer).
-    Each block's float64 sum of powd runs here, whole, so the value does not
-    depend on the number of slices or groups.  A block holds the largest
-    power of two of at most STRICHARTZ_CHUNK times whose transform buffers
-    and powd rows, counted per time, fit STRICHARTZ_BUDGET bytes; it depends
-    on the grid only.  The block fixes the phase recurrence and the sums, so
-    the value; powd keeps its chunk rows, while the transform buffers hold
-    only lanes x group times (_free_samples).
+    to the lane's contiguous float32 scratch row, one per transform-buffer
+    row, where it is raised to p/2 (products, with the real slots as
+    scratch, when p/2 is an integer).  The quadrature is defined one time
+    at a time: S_j is the float64 np.sum of time j's |u|^p row, and the mean
+    is w times the float64 np.sum of S_0 .. S_{nt-1}, in time order, over
+    nt.  A group's rows are summed by one np.sum over their grid axes, which
+    is bit for bit the per-row sum, so the value depends on neither the
+    lanes nor the group.  A block holds the largest power of two of at most
+    STRICHARTZ_CHUNK times whose transform buffers and power rows, counted
+    per time, fit STRICHARTZ_BUDGET bytes; it depends on the grid only and
+    fixes the phase recurrence, so the samples.  No buffer spans the block:
+    the transform buffers and power rows hold lanes x group times
+    (_free_samples), and the sums one float64 per time.
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
@@ -337,17 +349,17 @@ def _spacetime_lp_mean(f, p, nt):
         region = tuple(n // 2 + 1 for n in P)
         weights = math.prod(np.ix_(*[np.where(np.arange(r) % (r - 1), 2, 1) for r in region]))
         weights = weights.astype(np.float32)
-    # complex64 transform buffers of _free_samples and a float32 powd row
+    # complex64 transform buffers of _free_samples and a float32 power row
     per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in range(1, geom.d + 1))
     per_time += 4 * math.prod(region or P)
     chunk = STRICHARTZ_CHUNK
     while chunk > 1 and chunk * per_time > STRICHARTZ_BUDGET:
         chunk //= 2
-    powd = np.empty((min(chunk, nt),) + (region or P), dtype=np.float32)
     half = p / 2.0
+    sums, axes = np.empty(nt), tuple(range(1, geom.d + 1))
 
-    def power(rows, u):
-        pw, v = powd[rows], u.view(np.float32)  # v: Re u, Im u interleaved
+    def power(times, u, pw):
+        v = u.view(np.float32)  # Re u, Im u interleaved
         np.square(v, out=v)
         np.add(v[..., 0::2], v[..., 1::2], out=pw)
         if half != int(half) or half < 2:
@@ -361,12 +373,12 @@ def _spacetime_lp_mean(f, p, nt):
             pw *= m4
         if weights is not None:
             pw *= weights
+        np.sum(pw, axis=axes, dtype=np.float64, out=sums[times])
 
-    acc = 0.0
-    for n in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
-                           region=region):
-        acc += float(np.sum(powd[:n], dtype=np.float64)) * w
-    return acc / nt
+    for _ in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
+                           region=region, scratch=np.float32):
+        pass
+    return w * float(np.sum(sums)) / nt
 
 
 def bench_strichartz(d, p, N_list, trials, seed):
@@ -459,7 +471,7 @@ def _trilinear_samples(phis, eta, T, nt):
     half = (nt + 1) // 2 if all(_is_real(f) for f in distinct) else nt
     us = [None] * len(distinct)  # each pass's view of its one time
     passes = [_free_samples(f, 3, -T, dt, half, 1, np.complex128,
-                            lambda rows, u, k=k: us.__setitem__(k, u[0]))
+                            lambda times, u, s, k=k: us.__setitem__(k, u[0]))
               for k, f in enumerate(distinct)]
     for i, _ in enumerate(zip(*passes)):
         np.multiply(us[slots[0]], us[slots[1]], out=prod)

@@ -44,7 +44,8 @@ def format_value(v):
 
 
 def write_atomic(path, data, what="report"):
-    """Write text (as UTF-8) or bytes to path through a temporary file and
+    """Write text (as UTF-8), bytes, or what the function data(fh) writes to
+    the open binary file fh, to path through a temporary file and
     os.replace, so that path holds the old file or the whole new one, never
     a part."""
     if isinstance(data, str):
@@ -52,7 +53,10 @@ def write_atomic(path, data, what="report"):
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError("cannot write %s to %s: %s" % (what, path, exc)) from exc
@@ -134,54 +138,63 @@ def read_manifest(path):
 
 # ---------------------------------------------------------------------------
 # binary trajectory dump: fixed header, then one coefficient block per stored
-# time, little-endian complex128 in format version 2
+# time, little-endian complex128 in format version 2.  Both directions stream
+# one state at a time: no buffer holds the whole file.
 
 
 def write_trajectory(traj, path):
     """Write traj in format version 2, whole or not at all (write_atomic)."""
     geom = traj.geometry
-    data = bytearray(TRAJECTORY_MAGIC)
-    data += struct.pack("<II", 2, geom.d)
-    data += np.asarray(geom.thetas, dtype="<f8").tobytes()
-    data += np.asarray(geom.grid, dtype="<u4").tobytes()
-    data += struct.pack("<dQ", traj.coupling, len(traj.times))
-    data += np.asarray(traj.times, dtype="<f8").tobytes()
-    for st in traj.states:
-        data += np.ascontiguousarray(st.coeffs, dtype="<c16").tobytes()
-    write_atomic(path, data, "trajectory")
 
+    def write(fh):
+        fh.write(TRAJECTORY_MAGIC + struct.pack("<II", 2, geom.d))
+        fh.write(np.asarray(geom.thetas, dtype="<f8"))
+        fh.write(np.asarray(geom.grid, dtype="<u4"))
+        fh.write(struct.pack("<dQ", traj.coupling, len(traj.times)))
+        fh.write(np.ascontiguousarray(traj.times, dtype="<f8"))
+        for st in traj.states:
+            fh.write(np.ascontiguousarray(st.coeffs, dtype="<c16"))
 
-def _check_length(path, data, size, exact=False):
-    if len(data) < size or (exact and len(data) != size):
-        raise ValueError("trajectory file %s: its header implies %s%d bytes, found %d"
-                         % (path, "" if exact else "at least ", size, len(data)))
+    write_atomic(path, write, "trajectory")
 
 
 def read_trajectory(path):
+    """The trajectory stored at path in format version 2, read one state at
+    a time into its own array.  The file's length (os.fstat) must be the one
+    its header implies before the payload is read, and a read that comes
+    back short (a file cut while it is read) is an error too."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return _read_trajectory(fh, path, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise OSError("cannot read trajectory from %s: %s" % (path, exc)) from exc
-    if data[:8] != TRAJECTORY_MAGIC:
+
+
+def _read_trajectory(fh, path, size):
+    def need(n, exact=False):
+        if size < n or (exact and size != n):
+            raise ValueError("trajectory file %s: its header implies %s%d bytes, found %d"
+                             % (path, "" if exact else "at least ", n, size))
+
+    def read_into(a):
+        if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+            raise ValueError("trajectory file %s: short read at byte %d" % (path, fh.tell()))
+        return a
+
+    def read(fmt):
+        return struct.unpack(fmt, read_into(np.empty(struct.calcsize(fmt), np.uint8)))
+
+    if fh.read(8) != TRAJECTORY_MAGIC:
         raise ValueError("bad magic in %s" % path)
-    _check_length(path, data, 16)
-    version, d = struct.unpack_from("<II", data, 8)
+    need(16)
+    version, d = read("<II")
     if version != 2:
         raise ValueError("unsupported trajectory format version %d" % version)
-    off = 16 + 12 * d + 16
-    _check_length(path, data, off)
-    thetas = struct.unpack_from("<%dd" % d, data, 16)
-    grid = struct.unpack_from("<%dI" % d, data, 16 + 8 * d)
-    coupling, nt = struct.unpack_from("<dQ", data, 16 + 12 * d)
-    _check_length(path, data, off + nt * (8 + 16 * math.prod(grid)), exact=True)
-    times = np.frombuffer(data, dtype="<f8", count=nt, offset=off).copy()
-    off += 8 * nt
+    need(16 + 12 * d + 16)
+    thetas, grid = read("<%dd" % d), read("<%dI" % d)
+    coupling, nt = read("<dQ")
+    need(16 + 12 * d + 16 + nt * (8 + 16 * math.prod(grid)), exact=True)
     geom = TorusGeometry(d, thetas, grid)
-    block = geom.npoints
-    states = []
-    for _ in range(nt):
-        c = np.frombuffer(data, dtype="<c16", count=block, offset=off)
-        off += 16 * block
-        states.append(SpectralField(geom, c.astype(np.complex128).reshape(geom.grid)))
+    times = read_into(np.empty(nt, dtype="<f8"))
+    states = [SpectralField(geom, read_into(np.empty(grid, dtype="<c16"))) for _ in range(nt)]
     return Trajectory(geom, times, states, coupling)

@@ -96,17 +96,19 @@ def _mirrored(c):
 def _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=None):
     """The samples that _free_samples hands to consume, one array per
     yielded block, one row per time.  The groups tile each block."""
-    blocks, groups, lock = [], {}, threading.Lock()
+    blocks, groups, lock, done = [], {}, threading.Lock(), 0
 
-    def consume(rows, u):
+    def consume(times, u, s):
+        assert s is None
         with lock:
-            groups[rows.start] = (rows.stop, u.copy())
+            groups[times.start] = (times.stop, u.copy())
 
     for n in _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=region):
         starts = sorted(groups)
-        assert starts[0] == 0 and groups[starts[-1]][0] == n
+        assert starts[0] == done and groups[starts[-1]][0] == done + n
         assert all(groups[a][0] == b for a, b in zip(starts, starts[1:]))
         blocks.append(np.concatenate([groups.pop(a)[1] for a in starts]))
+        done += n
     return blocks
 
 
@@ -209,9 +211,9 @@ def _regions(monkeypatch):
     """The regions that _spacetime_lp_mean asks of _free_samples, in order."""
     regions, real = [], bench_module._free_samples
 
-    def spy(*args, region=None):
+    def spy(*args, region=None, **kwargs):
         regions.append(region)
-        return real(*args, region=region)
+        return real(*args, region=region, **kwargs)
 
     monkeypatch.setattr(bench_module, "_free_samples", spy)
     return regions
@@ -255,7 +257,8 @@ def test_spacetime_lp_mean_is_lane_invariant(monkeypatch):
     # five lanes on two chunks and a partial one, with the GIL handed over
     # as often as the interpreter allows: an advance of the coefficients
     # before every slice has finished would change the sum; the even field
-    # takes the quadrant
+    # takes the quadrant.  Groups of one time and groups of the whole chunk
+    # sum the same S_j, so they give the same bits too
     geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
     fields = [random_shell_field(geom, 2, 0), shell_extremizer_field(geom, 2, "bell")]
     monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
@@ -270,6 +273,21 @@ def test_spacetime_lp_mean_is_lane_invariant(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert time.perf_counter() - start < 30.0
+    for budget in (0, 1 << 40):
+        monkeypatch.setattr(bench_module, "SAMPLE_GROUP_BUDGET", budget)
+        for n in (1, 5):
+            monkeypatch.setattr(bench_module, "_cpus", lambda: n)
+            assert [_spacetime_lp_mean(f, 6.0, 70) for f in fields] == want, (budget, n)
+
+
+def test_spacetime_lp_mean_sums_one_time_at_a_time():
+    # S_j is the float64 sum of time j's |u|^p row and the mean sums the S_j
+    # in time order: the d=2 N=16 `ones` row read 1.0881236401019132 when
+    # each block of 32 times was one float64 sum.  A change of summation
+    # order moves this value and has to be made on purpose
+    rows = bench_strichartz(2, 6.0, (16,), trials=0, seed=0).rows
+    assert rows[0][:2] == (16, "ones")
+    assert repr(rows[0][4]) == "1.0881236401019134"
 
 
 def test_free_samples_leaves_no_worker_behind(monkeypatch):
@@ -278,7 +296,7 @@ def test_free_samples_leaves_no_worker_behind(monkeypatch):
     before = threading.active_count()
     ran_on = set()
     blocks = _free_samples(f, 2, 0.0, 0.1, 20, 8, np.complex64,
-                           lambda rows, u: ran_on.add(threading.current_thread()))
+                           lambda times, u, s: ran_on.add(threading.current_thread()))
     next(blocks)
     blocks.close()
     workers = ran_on - {threading.current_thread()}
@@ -293,8 +311,8 @@ def test_free_samples_raises_a_slice_error(monkeypatch):
     monkeypatch.setattr(bench_module, "_cpus", lambda: 3)
     f = random_shell_field(TorusGeometry(1, (1.0,), (8,)), 2, 0)
 
-    def consume(rows, u):
-        if rows.start > 0:  # a slice that runs on a worker thread
+    def consume(times, u, s):
+        if times.start > 0:  # a slice that runs on a worker thread
             raise RuntimeError("slice failed")
 
     with pytest.raises(RuntimeError, match="slice failed"):
@@ -321,7 +339,7 @@ def test_free_samples_holds_only_its_transform_buffers(monkeypatch, M):
     bufs = _held_times(per_time, chunk) * per_time
     tracemalloc.start()
     try:
-        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype, lambda rows, u: None):
+        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype, lambda times, u, s: None):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -329,48 +347,60 @@ def test_free_samples_holds_only_its_transform_buffers(monkeypatch, M):
     assert peak <= 1.5 * bufs, peak / bufs
 
 
-@pytest.mark.parametrize("kind, bound", [("random", 1.5), ("ones", 1.2)])
+def _power_held(M, region, nt):
+    """Bytes of the lanes x group times that _spacetime_lp_mean holds: each
+    a time of complex64 transform buffers and a float32 power row."""
+    P = tuple(2 * m for m in M)
+    per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in range(1, len(M) + 1))
+    per_time += 4 * math.prod(region)
+    return _held_times(per_time, nt) * per_time
+
+
+@pytest.mark.parametrize("kind, bound", [("random", 1.5), ("ones", 1.6)])
 def test_spacetime_lp_mean_forms_the_power_in_the_transform_buffer(monkeypatch, kind, bound):
-    # |u|^2 comes from the samples' own buffer into one float32 row per time:
-    # on one lane the peak is 0.55x (full grid) and 0.31x (quadrant) of the
-    # transform buffers of 32 times, which hold 5 (groups of 5)
+    # |u|^2 comes from the samples' own buffer into the lane's power rows,
+    # one per transform-buffer row: on one lane of 4 times a group the peak
+    # is 1.39x (full grid) and 1.49x (quadrant) of those buffers and rows
+    # (1 MiB and 0.81 MiB), the rest being M-sized phase tables; no buffer
+    # holds the 32 times of the chunk
     monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
     geom = TorusGeometry(2, (1.0, 1.0), (64, 64))
     f = random_shell_field(geom, 8, 0) if kind == "random" else shell_extremizer_field(geom, 8, kind)
-    M, P, nt = geom.grid, geom.padded(2).grid, 32
-    bufs = nt * 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2))
+    P, nt = geom.padded(2).grid, 32
+    region = P if kind == "random" else tuple(n // 2 + 1 for n in P)
+    held = _power_held(geom.grid, region, nt)
+    assert held == 4 * (8 * (128 * 64 + 128 * 128) + 4 * math.prod(region))
     tracemalloc.start()
     try:
         _spacetime_lp_mean(f, 6.0, nt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * bufs, peak / bufs
+    assert peak <= bound * held, peak / held
 
 
 @pytest.mark.parametrize("kind", ["random", "ones"])
 def test_spacetime_lp_mean_holds_lanes_times_group_transform_buffers(monkeypatch, kind):
-    # a chunk of 32 times on two lanes of 5 times a group (192 KiB a time):
-    # the peak is 1.13x (full grid) and 1.21x (quadrant) of 10 times of
-    # transform buffers plus 32 powd rows, 4.4 and 2.9 MiB, where buffers of
-    # the chunk's 32 times alone take 6 MiB; a separate |u|^2 buffer would
-    # read 1.65x and 1.43x
+    # a chunk of 32 times on two lanes of 4 times a group (256 KiB a time on
+    # the full grid, 209 KiB on the quadrant): the peak is 1.23x and 1.33x
+    # of those 8 times, 2 and 1.6 MiB, where the transform buffers of the
+    # chunk's 32 times alone take 6 MiB and its power rows 2 MiB (full grid)
     monkeypatch.setattr(bench_module, "_cpus", lambda: 2)
     geom = TorusGeometry(2, (1.0, 1.0), (64, 64))
     f = random_shell_field(geom, 8, 0) if kind == "random" else shell_extremizer_field(geom, 8, kind)
     M, P, nt = geom.grid, geom.padded(2).grid, 32
     region = P if kind == "random" else tuple(n // 2 + 1 for n in P)
-    per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2))
-    assert _held_times(per_time, nt) == 10
-    held = _held_times(per_time, nt) * per_time + nt * 4 * math.prod(region)
+    held = _power_held(M, region, nt)
+    assert held == 8 * (8 * (128 * 64 + 128 * 128) + 4 * math.prod(region))
     tracemalloc.start()
     try:
         _spacetime_lp_mean(f, 6.0, nt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * held, peak / held
-    assert peak < nt * per_time, peak / (nt * per_time)
+    assert peak <= 1.4 * held, peak / held
+    chunk_bufs = nt * 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2))
+    assert peak < chunk_bufs, peak / chunk_bufs
 
 
 def _chunks(monkeypatch, run=False):

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,48 @@ def test_trajectory_wrong_length(tmp_path):
     path.write_bytes(data[:30])
     with pytest.raises(ValueError, match="implies at least 56 bytes, found 30"):
         read_trajectory(path)
+
+
+def test_trajectory_read_cut_short_is_rejected(tmp_path, monkeypatch):
+    # a file cut after its length was checked: the state reads come back
+    # short, and the reader says so instead of returning part of a state
+    geom = TorusGeometry(1, (1.0,), (16,))
+    path = tmp_path / "t.bin"
+    write_trajectory(solve_nls(random_shell_field(geom, 2, 0), 0.02, 0.01), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-100])
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real(fd)[:6] + (size,) + real(fd)[7:]))
+    with pytest.raises(ValueError, match="short read at byte %d" % (size - 100)):
+        read_trajectory(path)
+
+
+def test_trajectory_round_trip_streams_one_state_at_a_time(tmp_path):
+    # criterion 03's round trip on 32^2, one of its three step sizes: 126
+    # states of 16 KiB.  Writing peaks at 0.9 states' bytes (137 when the
+    # file was built in one bytearray), reading at 1.02x the payload, the
+    # states it returns (2.02x with the whole file read first and each
+    # state copied out of it)
+    geom = TorusGeometry(2, (1.0, 1.0), (32, 32))
+    traj = solve_nls(random_shell_field(geom, 2, 0), 0.5, 4e-3)
+    path = tmp_path / "t.bin"
+    state = 16 * geom.npoints
+    payload = len(traj.times) * (8 + state)
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, path)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_trajectory(path)
+        read = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 16 + 12 * 2 + 16 + payload
+    assert written <= 2 * state, written / state
+    assert read <= 1.1 * payload, read / payload
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(traj.states, back.states))
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
@@ -604,10 +647,9 @@ def test_cli_verify_hierarchy_prints_the_plane_wave_mass(capsys):
     assert ratio < 1e-13
 
 
-def test_cli_verify_hierarchy_fails_a_wrong_collision_sign(monkeypatch, capsys):
-    # with the sign of every bra term of the collision flipped, the plane
-    # wave's residual is a fraction of its mass (0.400), not rounding, and
-    # the halving ratio reads 1: the run fails on both
+def _verify_hierarchy_with_a_flipped_bra_sign(monkeypatch, capsys, args):
+    """Exit code, residual/mass and last line of `verify hierarchy args`
+    with the sign of every bra term of the collision flipped."""
     real = hierarchy_module._collisions
 
     def flipped(gamma, j):
@@ -615,12 +657,37 @@ def test_cli_verify_hierarchy_fails_a_wrong_collision_sign(monkeypatch, capsys):
         terms = [(c if i % 2 == 0 else -c, kets, bras) for i, (c, kets, bras) in enumerate(out.terms)]
         return FactorizedDensityMatrix(out.order, terms)
 
-    monkeypatch.setattr(hierarchy_module, "_collisions", flipped)
-    assert main("verify hierarchy --k 2 --T 0.1".split()) == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(hierarchy_module, "_collisions", flipped)
+        code = main(("verify hierarchy " + args).split())
     out = capsys.readouterr().out.splitlines()
     ratio = float(re.fullmatch(r"plane-wave weighted mass \S+  residual/mass (\S+)", out[1])[1])
+    return code, ratio, out[-1]
+
+
+def test_cli_verify_hierarchy_fails_a_wrong_collision_sign(monkeypatch, capsys):
+    # with the sign of every bra term of the collision flipped, the plane
+    # wave's residual is a fraction of its mass (0.400), not rounding, and
+    # the halving ratio reads 1: the run fails on both
+    code, ratio, last = _verify_hierarchy_with_a_flipped_bra_sign(monkeypatch, capsys,
+                                                                  "--k 2 --T 0.1")
+    assert code == 2
     assert ratio > 0.1
-    assert out[-1].endswith("[FAIL]")
+    assert last.endswith("[FAIL]")
+
+
+@pytest.mark.parametrize("args, wrong", [("--d 2 --k 2 --T 0.1", 0.400),
+                                         ("--d 2 --k 4 --T 0.2", 1.600)])
+def test_cli_verify_hierarchy_fails_a_wrong_collision_sign_at_d2(monkeypatch, capsys, args, wrong):
+    # the same fault at d=2, where the plane wave's mass is 1.0e3 (k=2) and
+    # 1.1e6 (k=4): residual/mass reads 0.400 and 1.600, and the run exits 2,
+    # where with the true sign it reads 2.4e-15 and 5.5e-15 and exits 0
+    assert main(("verify hierarchy " + args).split()) == 0
+    capsys.readouterr()
+    code, ratio, last = _verify_hierarchy_with_a_flipped_bra_sign(monkeypatch, capsys, args)
+    assert code == 2
+    assert abs(ratio - wrong) < 1e-3
+    assert last.endswith("[FAIL]")
 
 
 def test_cli_verify_duhamel_dump(tmp_path, monkeypatch, capsys):
