@@ -49,10 +49,11 @@ __all__ = [
 STRICHARTZ_RANDOM_NT = 32  # time samples of the random rows of bench_strichartz
 TRILINEAR_NT = 17  # and of bench_trilinear
 STRICHARTZ_CHUNK = 32  # most times per block of _spacetime_lp_mean, a power of two
-# bytes that size a _spacetime_lp_mean block, counted per time as transform
-# buffers and a power row: 128 MiB holds 32 times of every d=2 block up to
-# N=64, 4 MiB a time there.  The block fixes the phase recurrence, so the
-# samples and the report bytes; the buffers hold lanes x group times
+# bytes that cap a _free_samples block, counted per time as transform
+# buffers and scratch rows: 128 MiB holds 32 times of every d=2 Strichartz
+# block up to N=64, 4 MiB a time there.  The block fixes the phase
+# recurrence, so the samples and the report bytes; the buffers hold lanes x
+# group times
 STRICHARTZ_BUDGET = 128 << 20
 # bytes of one lane's transform buffers and scratch rows in _free_samples; a
 # group is as many times as fit, and at least one.  On the strichartz
@@ -180,26 +181,30 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratch=None):
-    """Samples of e^{it Lap} f at t = t0 + j dt (j < nt) on the grid padded
-    by pad, in blocks of at most chunk times, handed to consume.
+def _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratch=None):
+    """Samples of e^{it Lap} f, for every field f of fields (one geometry),
+    at t = t0 + j dt (j < nt) on the grid padded by pad, handed to consume.
 
-    region, when given, keeps the points 0 <= k_j < region[j] of the padded
-    grid P (default: all of P).  consume(times, u, s) receives, for times a
-    slice of range(nt), their samples u (one row per time, each of shape
-    region) as a view of the last axis's transform buffer: that transform
+    One pass samples every field: the coefficients are stacked on a field
+    axis after the row axis, one phase recurrence serves them all, and each
+    per-axis inverse FFT transforms every field at once.  region, when
+    given, keeps the points 0 <= k_j < region[j] of the padded grid P
+    (default: all of P).  consume(times, u, s) receives, for times a slice
+    of range(nt), their samples u of shape (k, F) + region (k times, F
+    fields) as a view of the last axis's transform buffer: that transform
     runs in place, so the kernel holds its per-axis transform buffers and no
     sample buffer.  u is valid until the next group of its lane, and consume
     may overwrite it in place.  scratch, when given, is a dtype: every
-    transform-buffer row then has one contiguous scratch row of shape region,
-    and s is the group's rows of them (None without scratch).  The generator
-    yields the length of each block once every sample of the block has been
-    consumed.
+    transform-buffer row then has one contiguous scratch row of shape (F,)
+    + region, and s is the group's rows of them (None without scratch).
 
     The block fixes the samples: a slice's phases come by recurrence, one
     M-sized phase at a time, from exp(-i t0 lambda) times exp(-i dt lambda)
     per step, and each block advances the coefficients by
-    exp(-i chunk dt lambda).  The modes are stored fftshifted and scaled by
+    exp(-i block dt lambda).  chunk caps the block: it is halved, down to
+    1, until the transform buffers and scratch rows of its times fit
+    STRICHARTZ_BUDGET bytes, and the block is at most nt times, so it does
+    not depend on the CPUs.  The modes are stored fftshifted and scaled by
     the padded grid size, so the samples come out as u e^{i xi(M/2) . x}
     with the padding at the end of each axis.  The inverse FFT runs one axis
     at a time: it skips the rows that are still all zero, and along the axes
@@ -210,39 +215,42 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratc
     (numpy's FFTs and ufuncs release the GIL).  A lane transforms its slice
     a group at a time, as many times as fit SAMPLE_GROUP_BUDGET bytes of
     transform buffers and scratch rows and at least one, so the buffers hold
-    lanes x group times, not chunk.  Slices write disjoint rows, and the
+    lanes x group times, not the block.  Slices write disjoint rows, and the
     phase recurrence does not depend on the grouping, so the samples depend
     on neither the lane count nor the group.  All slices finish, and the
-    first error is raised, before a block is yielded or the coefficients
-    advance.
+    first error is raised, before the coefficients advance.
     """
-    geom = f.geometry
+    geom = fields[0].geometry
     M, P = geom.grid, geom.padded(pad).grid
-    d, c = geom.d, min(chunk, nt)
+    d, F = geom.d, len(fields)
+    shapes = [(F,) + P[:a] + M[a:] for a in range(1, d + 1)]
+    per_time = np.dtype(dtype).itemsize * sum(math.prod(s) for s in shapes)
+    if scratch is not None:
+        per_time += np.dtype(scratch).itemsize * F * math.prod(region or P)
+    while chunk > 1 and chunk * per_time > STRICHARTZ_BUDGET:
+        chunk //= 2
+    c = min(chunk, nt)
     lam = np.fft.fftshift(_freq_sq(geom))
-    coeffs = np.fft.fftshift(f.coeffs) * math.prod(P)
+    coeffs = np.stack([np.fft.fftshift(f.coeffs) for f in fields]) * math.prod(P)
     start = np.exp(-1j * t0 * lam)
     step = np.exp(-1j * dt * lam)
     advance = step if c == 1 else np.exp(-1j * (c * dt) * lam)  # c dt is dt at c = 1
     del lam
-    shapes = [P[:a] + M[a:] for a in range(1, d + 1)]
-    per_time = np.dtype(dtype).itemsize * sum(math.prod(s) for s in shapes)
-    if scratch is not None:
-        per_time += np.dtype(scratch).itemsize * math.prod(region or P)
     lanes, errors = min(_cpus(), c), []
     group = max(1, min(SAMPLE_GROUP_BUDGET // per_time, -(-c // lanes)))
     # bufs[a - 1] is the input of the transform along axis a: P wide along
     # axes 1..a, M wide along the later ones; lane i owns rows i*group up
-    # to (i+1)*group.  The modes and the transforms along axes 1..d-1 write
-    # only the head of the next input, its first M entries along that axis;
-    # the zero tail is the padding.  The last transform runs in place, so
-    # bufs[-1] holds the samples, and each group zeroes the tail of the
-    # lines it transforms again before it writes.
+    # to (i+1)*group, each row all F fields.  The modes and the transforms
+    # along axes 1..d-1 write only the head of the next input, its first M
+    # entries along that axis; the zero tail is the padding.  The last
+    # transform runs in place, so bufs[-1] holds the samples, and each
+    # group zeroes the tail of the lines it transforms again before it
+    # writes.
     bufs = [np.zeros((lanes * group,) + s, dtype=dtype) for s in shapes]
-    heads = [b[(slice(None),) * a + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
+    heads = [b[(slice(None),) * (a + 1) + (slice(0, M[a - 1]),)] for a, b in enumerate(bufs, 1)]
     outs, tail = heads[1:] + bufs[-1:], bufs[-1][..., M[-1]:]
-    cut = tuple(slice(0, r) for r in (P if region is None else region))
-    rows_of = None if scratch is None else np.empty((lanes * group,) + (region or P), scratch)
+    cut = (slice(None),) + tuple(slice(0, r) for r in (P if region is None else region))
+    rows_of = None if scratch is None else np.empty((lanes * group, F) + (region or P), scratch)
 
     def run(lane, base, lo, hi):
         try:
@@ -252,13 +260,13 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratc
             for g in range(lo, hi, group):
                 k = min(group, hi - g)
                 rows = slice(lane * group, lane * group + k)
-                tail[(rows,) + cut[:d - 1]] = 0
+                tail[(rows,) + cut[:d]] = 0
                 for out in heads[0][rows]:
                     np.multiply(phase, coeffs, out=out)
                     phase *= step
                 for a in range(1, d + 1):
-                    lines = (rows,) + cut[:a - 1]
-                    np.fft.ifft(bufs[a - 1][lines], axis=a, out=outs[a - 1][lines])
+                    lines = (rows,) + cut[:a]
+                    np.fft.ifft(bufs[a - 1][lines], axis=a + 1, out=outs[a - 1][lines])
                 consume(slice(base + g, base + g + k), bufs[-1][(rows,) + cut],
                         None if rows_of is None else rows_of[rows])
         except BaseException as exc:  # raised in the caller, below
@@ -278,7 +286,6 @@ def _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=None, scratc
         if errors:
             raise errors[0]
         coeffs *= advance
-        yield n
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +335,28 @@ def _spacetime_lp_mean(f, p, nt):
     scratch, when p/2 is an integer).  The quadrature is defined one time
     at a time: S_j is the float64 np.sum of time j's |u|^p row, and the mean
     is w times the float64 np.sum of S_0 .. S_{nt-1}, in time order, over
-    nt.  A group's rows are summed by one np.sum over their grid axes, which
-    is bit for bit the per-row sum, so the value depends on neither the
-    lanes nor the group.  A block holds the largest power of two of at most
-    STRICHARTZ_CHUNK times whose transform buffers and power rows, counted
-    per time, fit STRICHARTZ_BUDGET bytes; it depends on the grid only and
-    fixes the phase recurrence, so the samples.  No buffer spans the block:
-    the transform buffers and power rows hold lanes x group times
-    (_free_samples), and the sums one float64 per time.
+    nt.  A group's rows are summed by one np.sum over their field and grid
+    axes, which is bit for bit the per-row sum, so the value depends on
+    neither the lanes nor the group.  The one call to _free_samples caps its
+    block at STRICHARTZ_CHUNK times, and the sampler halves it to fit
+    STRICHARTZ_BUDGET; the block depends on the grid only and fixes the
+    phase recurrence, so the samples.  No buffer spans the block: the
+    transform buffers and power rows hold lanes x group times, and the sums
+    one float64 per time.
     """
     geom = f.geometry
     live = _freq_sq(geom)[f.coeffs != 0]
     if np.all(live == live[:1]):
         return lp_norm(f, p) ** p
     target = geom.padded(2)
-    M, P = geom.grid, target.grid
     w = target.volume / target.npoints
     region = weights = None
     if _is_even(f.coeffs):
-        region = tuple(n // 2 + 1 for n in P)
+        region = tuple(n // 2 + 1 for n in target.grid)
         weights = math.prod(np.ix_(*[np.where(np.arange(r) % (r - 1), 2, 1) for r in region]))
         weights = weights.astype(np.float32)
-    # complex64 transform buffers of _free_samples and a float32 power row
-    per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in range(1, geom.d + 1))
-    per_time += 4 * math.prod(region or P)
-    chunk = STRICHARTZ_CHUNK
-    while chunk > 1 and chunk * per_time > STRICHARTZ_BUDGET:
-        chunk //= 2
     half = p / 2.0
-    sums, axes = np.empty(nt), tuple(range(1, geom.d + 1))
+    sums, axes = np.empty(nt), tuple(range(1, geom.d + 2))
 
     def power(times, u, pw):
         v = u.view(np.float32)  # Re u, Im u interleaved
@@ -375,9 +375,8 @@ def _spacetime_lp_mean(f, p, nt):
             pw *= weights
         np.sum(pw, axis=axes, dtype=np.float64, out=sums[times])
 
-    for _ in _free_samples(f, 2, 0.5 / nt, 1 / nt, nt, chunk, np.complex64, power,
-                           region=region, scratch=np.float32):
-        pass
+    _free_samples([f], 2, 0.5 / nt, 1 / nt, nt, STRICHARTZ_CHUNK, np.complex64, power,
+                  region=region, scratch=np.float32)
     return w * float(np.sum(sums)) / nt
 
 
@@ -385,7 +384,7 @@ def bench_strichartz(d, p, N_list, trials, seed):
     """max_f ||e^{it Lap} f||_{L^p([0,1] x torus)} / ||f||_{L^2} per block N.
 
     Random rows use STRICHARTZ_RANDOM_NT time samples.  The extremizer rows get
-    nt = 2 N^2, clamped to [128, 8192]: the `ones` and `bell` data
+    nt = max(128, 2 N^2): the `ones` and `bell` data
     concentrate at t = 0 on a cell of width ~1/N for a time ~1/N^2, so
     their time grid is refined with N to keep the quadrature honest in both
     directions.  Data whose modes all share one lambda (the `single` row)
@@ -401,7 +400,7 @@ def bench_strichartz(d, p, N_list, trials, seed):
 
     def ratios(geom, N, rng):
         for kind, f in _trial_fields(geom, N, trials, rng):
-            nt = STRICHARTZ_RANDOM_NT if kind == "random" else min(8192, max(128, 2 * N * N))
+            nt = STRICHARTZ_RANDOM_NT if kind == "random" else max(128, 2 * N * N)
             yield kind, _spacetime_lp_mean(f, p, nt) ** (1.0 / p) / l2_norm(f)
 
     rep = _sweep("strichartz", {"d": d, "p": p, "target_slope": d / 2.0 - (d + 2.0) / p},
@@ -440,10 +439,10 @@ def _trilinear_samples(phis, eta, T, nt):
     u_j = e^{it Lap} phi_j.
 
     The pad-3 grid is exact: factor modes in [-M/2, M/2) give product
-    modes in [-3M/2, 3M/2), and nothing aliases on 3M points.  Each
-    distinct factor (three identical ones are the `ones` row's one object)
-    is one _free_samples pass at chunk 1, the passes in lockstep, each
-    consume keeping its pass's view of the current time; the samples are u_j
+    modes in [-3M/2, 3M/2), and nothing aliases on 3M points.  The distinct
+    factors (three identical ones are the `ones` row's one object) are one
+    _free_samples call at a block of 1, so one lane, whose consume forms
+    each time's product in one shared buffer.  The samples are u_j
     e^{i xi(M/2) . x}; the product carries e^{i xi(3M/2) . x}, which on the
     3M grid makes its forward FFT, taken in place, the fftshifted
     coefficients c.  The product's float64 view is squared in place, and
@@ -469,17 +468,16 @@ def _trilinear_samples(phis, eta, T, nt):
     vals = np.empty(nt)
     dt = 2.0 * T / max(nt - 1, 1)  # np.linspace(-T, T, nt); nt = 1 is t = -T
     half = (nt + 1) // 2 if all(_is_real(f) for f in distinct) else nt
-    us = [None] * len(distinct)  # each pass's view of its one time
-    passes = [_free_samples(f, 3, -T, dt, half, 1, np.complex128,
-                            lambda times, u, s, k=k: us.__setitem__(k, u[0]))
-              for k, f in enumerate(distinct)]
-    for i, _ in enumerate(zip(*passes)):
-        np.multiply(us[slots[0]], us[slots[1]], out=prod)
+
+    def block_norm(times, u, s):
+        np.multiply(u[0, slots[0]], u[0, slots[1]], out=prod)
         for j in slots[2:]:
-            prod *= us[j]
+            np.multiply(prod, u[0, j], out=prod)
         np.fft.fftn(prod, out=prod)
         np.square(v, out=v)
-        vals[i] = float(weight @ np.sqrt(np.bincount(bins, weights=v[0::2] + v[1::2])))
+        vals[times.start] = float(weight @ np.sqrt(np.bincount(bins, weights=v[0::2] + v[1::2])))
+
+    _free_samples(distinct, 3, -T, dt, half, 1, np.complex128, block_norm)
     vals[half:] = vals[:nt - half][::-1]
     return vals
 
@@ -488,9 +486,9 @@ def _trilinear_ratio(phis, eta, zeta, T, nt):
     """LHS/RHS of the trilinear free-evolution estimate at window [-T, T].
 
     The LHS is the trapezoid rule over nt times of _trilinear_samples:
-    products evaluated exactly on the pad-3 grid, with one inverse FFT per
-    time for factors that are one object (the `ones` row), and on half the
-    times when every factor is real-valued (the same row).  The RHS is
+    products evaluated exactly on the pad-3 grid, the distinct factors in
+    one pass (one field for the `ones` row), and on half the times when
+    every factor is real-valued (the same row).  The RHS is
     ||phi1||_{B^{-eta}} ||phi2||_{B^zeta} ||phi3||_{B^zeta}.
     """
     lhs = float(np.trapezoid(_trilinear_samples(phis, eta, T, nt), np.linspace(-T, T, nt)))
@@ -503,8 +501,9 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
     all three factors live on the block N.
 
     The all-ones extremizer concentrates at t = 0 on a time scale ~1/N^2, so
-    its row refines the quadrature grid with N; the base TRILINEAR_NT is used
-    for the randomized rows, whose integrand has no comparable peak.
+    its row refines the quadrature grid with N, to nt = max(TRILINEAR_NT,
+    2 N^2 + 1); the base TRILINEAR_NT is used for the randomized rows, whose
+    integrand has no comparable peak.
 
     Every product is evaluated exactly, on the pad-3 grid.  The `ones` field
     is built once per block and passed as all three factors, so it is
@@ -529,7 +528,7 @@ def bench_trilinear(d, eta, zeta, N_list, trials, seed, T=1.0):
             phis = [random_shell_field(geom, N, rng) for _ in range(3)]
             yield "max", _trilinear_ratio(phis, eta, zeta, T, TRILINEAR_NT)
         ones = shell_extremizer_field(geom, N, "ones")
-        nt_ex = max(TRILINEAR_NT, min(2048, 2 * N ** 2) + 1)
+        nt_ex = max(TRILINEAR_NT, 2 * N ** 2 + 1)
         yield "max", _trilinear_ratio([ones] * 3, eta, zeta, T, nt_ex)
 
     return _sweep("trilinear", {"d": d, "eta": eta, "zeta": zeta, "T": T},

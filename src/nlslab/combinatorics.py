@@ -86,11 +86,11 @@ def collision_map_count(k, r):
     return math.prod(range(k, k + r))
 
 
-def _integral(fn, a, b):
-    """24-node Gauss-Legendre quadrature of fn over [a, b]."""
+def _integral(fn, b):
+    """24-node Gauss-Legendre quadrature of fn over [0, b]."""
     x, w = np.polynomial.legendre.leggauss(24)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return sum(wi * fn(xi) for xi, wi in zip(mid + half * x, half * w))
+    half = b / 2.0
+    return sum(wi * fn(xi) for xi, wi in zip(half + half * x, half * w))
 
 
 def verify_product_identity(m, F, G, t):
@@ -108,7 +108,7 @@ def verify_product_identity(m, F, G, t):
         raise ValueError("m must be <= %d" % PRODUCT_IDENTITY_MAX_M)
     if len(F) != m or len(G) != m:
         raise ValueError("need m coefficients and m functions")
-    full = [_integral(G[i], 0.0, t) for i in range(m)]
+    full = [_integral(G[i], t) for i in range(m)]
     lhs = math.prod(F[i] + full[i] for i in range(m))
     rhs = 0.0 + 0.0j
     for mask in range(2 ** m):
@@ -125,10 +125,10 @@ def verify_product_identity(m, F, G, t):
             def integrand(tau, r=r, rest=rest):
                 val = G[r](tau)
                 for i in rest:
-                    val *= _integral(G[i], 0.0, tau)
+                    val *= _integral(G[i], tau)
                 return val
 
-            inner += _integral(integrand, 0.0, t)
+            inner += _integral(integrand, t)
         rhs += coeff * inner
     return abs(lhs - rhs)
 

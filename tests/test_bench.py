@@ -93,23 +93,20 @@ def _mirrored(c):
     return c
 
 
-def _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=None):
-    """The samples that _free_samples hands to consume, one array per
-    yielded block, one row per time.  The groups tile each block."""
-    blocks, groups, lock, done = [], {}, threading.Lock(), 0
+def _sampled(fields, pad, t0, dt, nt, chunk, dtype, region=None):
+    """The samples that one _free_samples call hands to consume, one row per
+    time and one column per field.  The consumed slices tile range(nt)."""
+    slices, lock = {}, threading.Lock()
 
     def consume(times, u, s):
         assert s is None
         with lock:
-            groups[times.start] = (times.stop, u.copy())
+            slices[times.start] = (times.stop, u.copy())
 
-    for n in _free_samples(f, pad, t0, dt, nt, chunk, dtype, consume, region=region):
-        starts = sorted(groups)
-        assert starts[0] == done and groups[starts[-1]][0] == done + n
-        assert all(groups[a][0] == b for a, b in zip(starts, starts[1:]))
-        blocks.append(np.concatenate([groups.pop(a)[1] for a in starts]))
-        done += n
-    return blocks
+    _free_samples(fields, pad, t0, dt, nt, chunk, dtype, consume, region=region)
+    starts = sorted(slices)
+    assert [0] + [slices[a][0] for a in starts] == starts + [nt]
+    return np.concatenate([slices[a][1] for a in starts])
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,56 +114,63 @@ def _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=None):
        grid=st.tuples(*[st.sampled_from((4, 6, 8))] * 3), pad=st.integers(2, 3),
        t0=st.floats(-1.0, 1.0), dt=st.floats(0.01, 0.25),
        nt=st.integers(1, 9), chunk=st.integers(1, 4), single=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5), even=st.booleans())
+       seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(1, 5), even=st.booleans(),
+       nfields=st.integers(1, 3))
 # a chunked advance from a negative start that ends on a partial chunk, and
 # nt below and equal to the chunk; more lanes than times in a block; even
-# fields on the quadrant in d = 1, 2, 3, on rectangular tori
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, True, 0, 2, False)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, -0.9, 0.1, 2, 4, False, 1, 5, False)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 4, 4, True, 2, 3, False)
-@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 5, 2, True, 3, 3, True)
-@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 0.1, 0.1, 6, 4, True, 4, 5, True)
-@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, False, 5, 2, True)
+# fields on the quadrant in d = 1, 2, 3, on rectangular tori; passes of one,
+# two and three fields
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, True, 0, 2, False, 3)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, -0.9, 0.1, 2, 4, False, 1, 5, False, 2)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 4, 4, True, 2, 3, False, 1)
+@example(1, (0.8, 1.0, 1.0), (6, 4, 4), 2, -0.3, 0.25, 5, 2, True, 3, 3, True, 2)
+@example(2, (1.0, 1.3, 1.0), (8, 6, 4), 2, 0.1, 0.1, 6, 4, True, 4, 5, True, 3)
+@example(3, (1.0, 1.4, 0.7), (4, 6, 8), 3, -0.6, 0.2, 7, 3, False, 5, 2, True, 2)
 def test_free_samples_match_free_evolve(d, thetas, grid, pad, t0, dt, nt, chunk, single, seed,
-                                        lanes, even):
+                                        lanes, even, nfields):
     geom = TorusGeometry(d, thetas[:d], grid[:d])
     target = geom.padded(pad)
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
-    f = SpectralField(geom, _mirrored(c) if even else c)
+    fields = []
+    for _ in range(nfields):
+        c = rng.standard_normal(geom.grid) + 1j * rng.standard_normal(geom.grid)
+        fields.append(SpectralField(geom, _mirrored(c) if even else c))
     region = tuple(P // 2 + 1 for P in target.grid) if even else None
     dtype, tol = (np.complex64, 1e-5) if single else (np.complex128, 1e-12)
-    blocks = {}
+    samples = {}
     # one lane, lanes lanes, and lanes lanes of one time a group
     for run, n, budget in (("one", 1, None), ("lanes", lanes, None), ("groups of 1", lanes, 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench_module, "_cpus", lambda: n)
             if budget is not None:
                 mp.setattr(bench_module, "SAMPLE_GROUP_BUDGET", budget)
-            blocks[run] = _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype, region=region)
+            samples[run] = _sampled(fields, pad, t0, dt, nt, chunk, dtype, region=region)
+            # each field of the pass is its single-field pass, bit for bit
+            if nfields > 1:
+                for i, f in enumerate(fields):
+                    alone = _sampled([f], pad, t0, dt, nt, chunk, dtype, region=region)
+                    assert np.array_equal(samples[run][:, i:i + 1], alone), (run, i)
     # the slices write disjoint rows and the phases do not depend on the
     # grouping: any lane count and any group give the same bits
     for run in ("lanes", "groups of 1"):
-        assert all(np.array_equal(a, b) for a, b in zip(blocks["one"], blocks[run], strict=True))
+        assert np.array_equal(samples["one"], samples[run])
     if even:
         # the quadrant is the full grid's samples there, bit for bit
-        full = _sampled_blocks(f, pad, t0, dt, nt, chunk, dtype)
-        quadrant = (slice(None),) + tuple(slice(0, r) for r in region)
-        assert all(np.array_equal(q, b[quadrant])
-                   for q, b in zip(blocks["lanes"], full, strict=True))
-        blocks["one"] = full
-    blocks = blocks["one"]
-    assert [len(b) for b in blocks] == [min(chunk, nt - lo) for lo in range(0, nt, chunk)]
-    assert all(b.dtype == dtype for b in blocks)
-    got = np.concatenate(blocks)
-    assert got.shape == (nt,) + target.grid
+        full = _sampled(fields, pad, t0, dt, nt, chunk, dtype)
+        quadrant = (slice(None),) * 2 + tuple(slice(0, r) for r in region)
+        assert np.array_equal(samples["lanes"], full[quadrant])
+        samples["one"] = full
+    got = samples["one"]
+    assert got.dtype == dtype
+    assert got.shape == (nt, nfields) + target.grid
     # divide out the phase e^{i xi(M/2) . x} of the shifted storage
     x = np.meshgrid(*[np.arange(P) * (2 * np.pi / (th * P))
                       for th, P in zip(geom.thetas, target.grid)], indexing="ij")
     phase = np.exp(1j * sum(th * M / 2 * xa for th, M, xa in zip(geom.thetas, geom.grid, x)))
     for j in range(nt):
-        want = field_samples(free_evolve(f, t0 + j * dt), target)
-        assert np.abs(got[j] / phase - want).max() <= tol * np.abs(want).max()
+        for i, f in enumerate(fields):
+            want = field_samples(free_evolve(f, t0 + j * dt), target)
+            assert np.abs(got[j, i] / phase - want).max() <= tol * np.abs(want).max()
 
 
 def test_free_samples_reuse_the_step_as_the_advance_of_one_time(monkeypatch):
@@ -187,7 +191,7 @@ def test_free_samples_reuse_the_step_as_the_advance_of_one_time(monkeypatch):
     got = {}
     for chunk in (1, 2, 5):
         tables.clear()
-        got[chunk] = np.concatenate(_sampled_blocks(f, 2, t0, dt, nt, chunk, np.complex128))
+        got[chunk] = _sampled([f], 2, t0, dt, nt, chunk, np.complex128)[:, 0]
         assert sum(tables) == (2 if chunk == 1 else 3), chunk
     monkeypatch.undo()
     lam = np.fft.fftshift(bench_module._freq_sq(geom))
@@ -291,19 +295,23 @@ def test_spacetime_lp_mean_sums_one_time_at_a_time():
 
 
 def test_free_samples_leaves_no_worker_behind(monkeypatch):
+    # an error in the caller's own slice is raised only once every worker
+    # has finished its slice
     monkeypatch.setattr(bench_module, "_cpus", lambda: 4)
     f = random_shell_field(TorusGeometry(2, (1.0, 1.0), (8, 8)), 2, 0)
     before = threading.active_count()
-    ran_on = set()
-    blocks = _free_samples(f, 2, 0.0, 0.1, 20, 8, np.complex64,
-                           lambda times, u, s: ran_on.add(threading.current_thread()))
-    next(blocks)
-    blocks.close()
-    workers = ran_on - {threading.current_thread()}
+    caller, ran_on = threading.current_thread(), set()
+
+    def consume(times, u, s):
+        ran_on.add(threading.current_thread())
+        if threading.current_thread() is caller:
+            raise RuntimeError("caller's slice failed")
+
+    with pytest.raises(RuntimeError, match="caller's slice failed"):
+        _free_samples([f], 2, 0.0, 0.1, 20, 8, np.complex64, consume)
+    workers = ran_on - {caller}
     assert len(workers) == 3
-    for t in workers:
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+    assert not any(t.is_alive() for t in workers)
     assert threading.active_count() == before
 
 
@@ -316,7 +324,7 @@ def test_free_samples_raises_a_slice_error(monkeypatch):
             raise RuntimeError("slice failed")
 
     with pytest.raises(RuntimeError, match="slice failed"):
-        list(_free_samples(f, 2, 0.0, 0.1, 6, 6, np.complex64, consume))
+        _free_samples([f], 2, 0.0, 0.1, 6, 6, np.complex64, consume)
 
 
 def _held_times(per_time, chunk):
@@ -339,8 +347,7 @@ def test_free_samples_holds_only_its_transform_buffers(monkeypatch, M):
     bufs = _held_times(per_time, chunk) * per_time
     tracemalloc.start()
     try:
-        for _ in _free_samples(f, 2, 0.0, 0.1, 16, chunk, dtype, lambda times, u, s: None):
-            pass
+        _free_samples([f], 2, 0.0, 0.1, 16, chunk, dtype, lambda times, u, s: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,54 +410,66 @@ def test_spacetime_lp_mean_holds_lanes_times_group_transform_buffers(monkeypatch
     assert peak < chunk_bufs, peak / chunk_bufs
 
 
-def _chunks(monkeypatch, run=False):
-    """The chunks that _spacetime_lp_mean asks of _free_samples, in order;
-    unless run, the spy yields no block."""
-    chunks, real = [], bench_module._free_samples
+class _Stop(Exception):
+    """Raised where _block stops _spacetime_lp_mean."""
 
-    def spy(f, pad, t0, dt, nt, chunk, *args, **kwargs):
-        chunks.append(chunk)
-        return real(f, pad, t0, dt, nt, chunk, *args, **kwargs) if run else iter(())
 
-    monkeypatch.setattr(bench_module, "_free_samples", spy)
-    return chunks
+def _block(f, p, nt):
+    """The block of times that _free_samples sets for _spacetime_lp_mean(f,
+    p, nt), read off its phase tables exp(-i t0 lambda), exp(-i dt lambda)
+    and, for a block of c > 1 times, the advance exp(-i c dt lambda), where
+    the call stops before any transform.  A block of 1 runs in full."""
+    tables, real_exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        tables.append(x)
+        if len(tables) == 3:
+            raise _Stop
+        return real_exp(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "exp", spy)
+        try:
+            _spacetime_lp_mean(f, p, nt)
+        except _Stop:
+            k = np.argmax(np.abs(tables[1]))
+            return round(tables[2].flat[k].imag / tables[1].flat[k].imag)
+    assert len(tables) == 2
+    return 1
 
 
 def test_spacetime_lp_mean_sizes_its_chunk_by_bytes(monkeypatch):
-    chunks = _chunks(monkeypatch)
     budget = bench_module.STRICHARTZ_BUDGET
     # every d=2 block of the benches, on 4N points per axis, keeps 32 times
+    blocks = []
     for N in (4, 8, 16, 32, 64):
         geom = TorusGeometry(2, (1.0, 1.0), (4 * N,) * 2)
         for f in (random_shell_field(geom, N, 0), shell_extremizer_field(geom, N, "ones")):
-            _spacetime_lp_mean(f, 6.0, 32)
-    assert chunks == [32] * 10
-    # d=3, N=16: 28 MiB of transform buffers a time, and a powd row of the
+            blocks.append(_block(f, 6.0, 32))
+    assert blocks == [32] * 10
+    # d=3, N=16: 28 MiB of transform buffers a time, and a power row of the
     # full grid (8 MiB) or of the octant (65^3 float32)
     geom = TorusGeometry(3, (1.0,) * 3, (64,) * 3)
     M, P = geom.grid, geom.padded(2).grid
     fields = [random_shell_field(geom, 16, 0), shell_extremizer_field(geom, 16, "ones")]
     for n in (1, 5):
         monkeypatch.setattr(bench_module, "_cpus", lambda: n)
-        chunks.clear()
-        for f in fields:
-            _spacetime_lp_mean(f, 4.0, 32)
-        assert chunks == [2, 4]
-    for chunk, row in zip(chunks, (math.prod(P), 65 ** 3)):
+        blocks = [_block(f, 4.0, 32) for f in fields]
+        assert blocks == [2, 4]
+    for block, row in zip(blocks, (math.prod(P), 65 ** 3)):
         per_time = 8 * sum(math.prod(P[:a] + M[a:]) for a in (1, 2, 3)) + 4 * row
-        assert chunk * per_time <= budget < 2 * chunk * per_time
+        assert block * per_time <= budget < 2 * block * per_time
 
 
 def test_spacetime_lp_mean_runs_in_a_small_budget(monkeypatch):
     # 16^3 in 2 MiB: 576 KiB a time on the full grid and 468 KiB on the
     # octant, so nt = 7 runs in blocks of 2 or of 4, the last one partial
     monkeypatch.setattr(bench_module, "STRICHARTZ_BUDGET", 2 << 20)
-    chunks = _chunks(monkeypatch, run=True)
     geom = TorusGeometry(3, (1.0,) * 3, (16,) * 3)
     fields = [random_shell_field(geom, 4, 0), shell_extremizer_field(geom, 4, "bell")]
+    assert [_block(f, 4.0, 7) for f in fields] == [2, 4]
     monkeypatch.setattr(bench_module, "_cpus", lambda: 1)
     want = [_spacetime_lp_mean(f, 4.0, 7) for f in fields]
-    assert chunks == [2, 4]
     monkeypatch.setattr(bench_module, "_cpus", lambda: 5)
     assert [_spacetime_lp_mean(f, 4.0, 7) for f in fields] == want
     for f, got in zip(fields, want):
@@ -593,11 +612,11 @@ def test_trilinear_identical_factors_take_one_transform(monkeypatch):
     shared = _trilinear_samples([ones] * 3, 0.25, T, nt)
     # one field per transform; the first axis skips the all-zero columns; the
     # field is real, so only the first half of the time grid is evaluated
-    assert calls == [(1, 48, 12), (1, 48, 36)] * ((nt + 1) // 2)
+    assert calls == [(1, 1, 48, 12), (1, 1, 48, 36)] * ((nt + 1) // 2)
     calls.clear()
-    # three copies are three passes, stepped together: three transforms a time
+    # three copies are three fields of one pass: one transform per axis a time
     copies = _trilinear_samples([ones.copy() for _ in range(3)], 0.25, T, nt)
-    assert calls == [(1, 48, 12), (1, 48, 36)] * 3 * ((nt + 1) // 2)
+    assert calls == [(1, 3, 48, 12), (1, 3, 48, 36)] * ((nt + 1) // 2)
     monkeypatch.undo()
     want = _direct_trilinear_samples([ones] * 3, 0.25, T, nt)
     assert np.all(np.abs(shared - copies) <= 1e-12 * shared)
@@ -610,12 +629,12 @@ def test_trilinear_samples_mirror_only_real_data(monkeypatch):
     # real-valued factors take the first ceil(nt/2) times of the symmetric
     # grid and mirror the rest; any non-real factor, a Nyquist-plane mode
     # (its own conjugate mirror, but not real) or one perturbed coefficient
-    # of a real field takes every time.  Each distinct factor is one pass.
+    # of a real field takes every time.  The distinct factors are one pass.
     evaluated, real = [], bench_module._free_samples
 
-    def spy(f, pad, t0, dt, nt, *args):
-        evaluated.append(nt)
-        return real(f, pad, t0, dt, nt, *args)
+    def spy(fields, pad, t0, dt, nt, *args):
+        evaluated.append((len(fields), nt))
+        return real(fields, pad, t0, dt, nt, *args)
 
     monkeypatch.setattr(bench_module, "_free_samples", spy)
     rng = np.random.default_rng(11)
@@ -637,7 +656,7 @@ def test_trilinear_samples_mirror_only_real_data(monkeypatch):
                     evaluated.clear()
                     got = _trilinear_samples(phis, 0.25, 0.4, nt)
                     distinct = len({id(f) for f in phis})
-                    assert evaluated == [(nt + 1) // 2 if mirrored else nt] * distinct
+                    assert evaluated == [(distinct, (nt + 1) // 2 if mirrored else nt)]
                     want = _direct_trilinear_samples(phis, 0.25, 0.4, nt)
                     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -670,6 +689,30 @@ def test_bench_trilinear_rows_are_pinned():
     rows = bench_trilinear(3, 0.25, None, [2, 4], 1, 0).rows
     assert [repr(r) for r in rows] == ["(2, 2, 2, 0.058509554477828775)",
                                        "(4, 4, 4, 0.07311773375057495)"]
+
+
+def test_trilinear_ratio_of_a_random_row_is_pinned():
+    # the bench pins above are all `ones` rows; this is a row of three
+    # distinct random factors on a rectangular torus, one pass of three fields
+    geom = TorusGeometry(2, (1.0, math.sqrt(2.0)), (16, 12))
+    rng = np.random.default_rng(4)
+    phis = [random_shell_field(geom, N, rng) for N in (2, 4, 2)]
+    assert repr(_trilinear_ratio(phis, 0.25, 0.3, 1.0, 17)) == "0.05408405296334417"
+
+
+def test_extremizer_time_grids_keep_their_rules_at_large_blocks(monkeypatch):
+    # the `ones` rows take 2 N^2 + 1 trilinear nodes at N=64, where a cap
+    # once gave 2049, and the even Strichartz rows 2 N^2 at N=128, where a
+    # cap once gave 8192; the spies sample nothing
+    nts = []
+    monkeypatch.setattr(bench_module, "_trilinear_ratio",
+                        lambda phis, eta, zeta, T, nt: nts.append(nt) or 1.0)
+    bench_trilinear(2, 0.25, 0.3, [64], trials=1, seed=0)
+    assert nts == [bench_module.TRILINEAR_NT, 2 * 64 ** 2 + 1]
+    nts.clear()
+    monkeypatch.setattr(bench_module, "_spacetime_lp_mean", lambda f, p, nt: nts.append(nt) or 1.0)
+    bench_strichartz(1, 8.0, [128], trials=1, seed=0)
+    assert nts == [bench_module.STRICHARTZ_RANDOM_NT] + [2 * 128 ** 2] * 3
 
 
 def test_bench_trilinear_validation():

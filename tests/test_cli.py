@@ -364,6 +364,26 @@ def test_cli_rerun_removes_its_files_when_the_rerun_fails(tmp_path, monkeypatch,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
 
 
+@pytest.mark.parametrize("argv", [["verify", "lemma25", "--m", "2"],
+                                  ["combinatorics", "count", "--k", "3", "--r", "2"]])
+def test_cli_rerun_refuses_a_command_without_a_report(tmp_path, monkeypatch, capsys, argv):
+    # a command without --out has no report to compare: the manifest is
+    # refused before the command runs, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["params", "table", "--out", "p.csv"]) == 0
+    doc = json.loads((tmp_path / "p.manifest.json").read_text())
+    doc["argv"] = argv
+    (tmp_path / "p.manifest.json").write_text(json.dumps(doc))
+    stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["rerun", "p.manifest.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    name = " ".join(argv[:2])
+    assert err == "error: manifest p.manifest.json: `%s` writes no report to compare\n" % name
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+
+
 def test_cli_rerun_missing_manifest(capsys):
     assert main(["rerun", "/nonexistent/manifest.json"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 the package defines no private top-level name that it never reads, every
 function the benchmark measures per layer is public, and no keyword option
-of the package takes the same literal value at every call."""
+of the package, nor any parameter of a private function, takes the same
+literal value at every call."""
 
 import ast
 import importlib
@@ -118,11 +119,12 @@ def test_benchmark_layer_functions_are_public():
 
 def _one_value_keywords(sources):
     """(function, parameter, value) for every keyword parameter of a function
-    defined in sources that every call in sources passes, as one literal
-    value: an option that only one value ever reaches.  A call is matched by
-    the bare or attribute name of the function; names defined more than once
-    are skipped, and a call that leaves the parameter out, or may pass it
-    through *args or **kwargs, reaches some other value."""
+    defined in sources, and every parameter of a private one, that every
+    call in sources passes, as one literal value: an option that only one
+    value ever reaches.  A call is matched by the bare or attribute name of
+    the function; names defined more than once are skipped, and a call that
+    leaves the parameter out, or may pass it through *args or **kwargs,
+    reaches some other value."""
     defs, seen = {}, set()
     trees = [ast.parse(source) for source in sources]
     for tree in trees:
@@ -134,7 +136,8 @@ def _one_value_keywords(sources):
                 seen.add(node.name)
                 a = node.args
                 positional = [p.arg for p in a.posonlyargs + a.args]
-                keywords = positional[len(positional) - len(a.defaults):]
+                private = node.name.startswith("_") and not node.name.startswith("__")
+                keywords = positional[0 if private else len(positional) - len(a.defaults):]
                 keywords += [p.arg for p in a.kwonlyargs]
                 if keywords:
                     defs[node.name] = (positional, keywords)
@@ -179,16 +182,25 @@ def test_one_value_checker_rules():
               "    return x\n"
               "class C:\n"
               "    def d(self, r=0):\n"
-              "        return self\n")
+              "        return self\n"
+              "def _p(u, v, w=0):\n"
+              "    return _p(u, 1.0, w=2) + _p(x, v=1.0, w=3) + q(4) + q(4)\n"
+              "def q(z):\n"
+              "    return z\n")
     # f's pad: 2 at both calls; g's n: 2 twice; h's m: 3 positionally and
-    # by keyword.  k may take y through *x or **x, e's q is once left out,
-    # f's conj is once a name, and d is defined twice.
-    assert _one_value_keywords([source]) == [("f", "pad", "2"), ("g", "n", "2"),
-                                             ("h", "m", "3")]
+    # by keyword; the private _p's positional v: 1.0 positionally and by
+    # keyword.  k may take y through *x or **x, e's q is once left out,
+    # f's conj is once a name, d is defined twice, _p's u is once a name
+    # and its w takes two values, and q is public, so its positional z is
+    # not an option.
+    assert _one_value_keywords([source]) == [("_p", "v", "1.0"), ("f", "pad", "2"),
+                                             ("g", "n", "2"), ("h", "m", "3")]
 
 
 def test_no_keyword_option_takes_one_value():
     # a keyword option that every caller in the package sets to the same
-    # literal is a constant: it belongs in the function, not in its signature
+    # literal, or a parameter of a private function that every caller
+    # passes as one literal, is a constant: it belongs in the function, not
+    # in its signature
     files = sorted((ROOT / "src" / "nlslab").glob("*.py"))
     assert _one_value_keywords([p.read_text() for p in files]) == []
